@@ -3,10 +3,14 @@
 Samplers cover finite laws, Gaussian and Cauchy steps, and the factorial
 heavy-tail construction that draws an index k with probability
 proportional to k^(-3/2) (truncated at K) and emits a fair sign times k!.
-Positions for discrete samplers are exact integers (arbitrary precision
-where needed); only the continuous samplers use floating point.  All
-randomness comes from counter-based Philox streams keyed by (seed,
-stream_id), so results are reproducible and independent of parallelism.
+The crossing, sign-change and dominance estimators are reductions over
+one position engine that yields the partial sums S_1..S_n of all sampled
+paths, one vector per time step.  Positions for discrete samplers are
+exact integers: int64 while no sum can reach 2^62, and numpy object
+vectors of Python ints beyond that.  Only the continuous samplers use
+floating point.  All randomness comes from counter-based Philox streams
+keyed by (seed, stream_id), so results are reproducible and independent
+of parallelism.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm, sqrt
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -151,11 +155,24 @@ def _index_cumulative(trunc: int) -> np.ndarray:
     return cum
 
 
-def _scaled_int_values(d: DiscreteDist, level: Fraction) -> Tuple[List[int], int, int]:
+def _factorial_draws(
+    rng: np.random.Generator, trunc: int, shape: Tuple[int, int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Indices k in 1..trunc, then sign bits (1 for +k!), in that order."""
+    idx = _draw_indices(rng, _index_cumulative(trunc), shape) + 1
+    return idx, rng.integers(0, 2, shape)
+
+
+def _signed_table(magnitudes: List[int]) -> List[int]:
+    """Entry k is -v_k and entry k + len(magnitudes) is +v_k."""
+    return [-v for v in magnitudes] + magnitudes
+
+
+def _scaled_int_values(d: DiscreteDist, level: Fraction) -> Tuple[List[int], int]:
     """Clear denominators jointly: integer step values and level numerator."""
     den = lcm(level.denominator, *(v.denominator for v in d.values))
-    ints = [int(v * den) for v in d.values]
-    return ints, int(level * den), den
+    return [int(v * den) for v in d.values], int(level * den)
+
 
 def _coerce_level(level: LevelLike) -> Fraction:
     if isinstance(level, float):
@@ -168,6 +185,64 @@ def _check_samples(samples: int) -> None:
         raise ValueError(f"samples must be an integer >= 100, got {samples}")
 
 
+def _partial_sums(table: List[int], code: np.ndarray, shift: int = 0) -> Iterator[np.ndarray]:
+    """Exact S_1..S_n, one vector per time, for steps table[code[:, k]].
+
+    Sums run on int64 while max|v|*n + |shift| < 2^62, so neither they nor
+    S_k - shift can overflow; otherwise they are object vectors of Python
+    ints, accumulated one time step at a time.
+    """
+    samples, n = code.shape
+    if max(abs(v) for v in table) * n + abs(shift) < _INT64_SAFE:
+        steps = np.array(table, dtype=np.int64)[code.T]
+        yield from np.cumsum(steps, axis=0, out=np.empty((n, samples), dtype=np.int64))
+        return
+    values = np.array(table, dtype=object)
+    total = values[code[:, 0]]
+    yield total
+    for k in range(1, n):
+        total = total + values[code[:, k]]
+        yield total
+
+
+def _positions(
+    s: StepSampler, n: int, samples: int, seed: int, level: LevelLike = 0
+) -> Tuple[Iterator[np.ndarray], Union[int, float]]:
+    """Partial sums S_1..S_n of sampled paths, one vector per time, and the level.
+
+    Both are in common units: floats for the continuous samplers, and
+    otherwise exact integers on the common denominator of the step values
+    and the level.  The steps are drawn as one samples x n block from the
+    (seed, 0) stream, so every estimator sees the same paths for a seed.
+    """
+    rng = seeded_stream(seed, 0)
+    if s.kind in ("gaussian", "cauchy"):
+        if s.kind == "gaussian":
+            steps = rng.normal(s.mean, s.sd, (samples, n))
+        else:
+            steps = s.location + s.scale * rng.standard_cauchy((samples, n))
+        lf = float(level) if isinstance(level, (int, float)) else float(as_rational(level))
+        return iter(np.cumsum(steps.T, axis=0, out=np.empty((n, samples)))), lf
+    level_q = _coerce_level(level)
+    if s.kind == "from_dist":
+        assert s.dist is not None
+        table, shift = _scaled_int_values(s.dist, level_q)
+        code = _draw_indices(rng, _float_cumulative(s.dist.weights), (samples, n))
+    else:
+        shift = level_q.numerator
+        den = level_q.denominator
+        table = _signed_table([factorial(k) * den for k in range(s.trunc + 1)])
+        idx, up = _factorial_draws(rng, s.trunc, (samples, n))
+        code = idx + up * (s.trunc + 1)
+    return _partial_sums(table, code, shift), shift
+
+
+def _last(columns: Iterator[np.ndarray]) -> np.ndarray:
+    for col in columns:
+        pass
+    return col
+
+
 def mc_crossing(
     s: StepSampler, n: int, level: LevelLike, samples: int, seed: int
 ) -> McEstimate:
@@ -175,67 +250,13 @@ def mc_crossing(
     _check_samples(samples)
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    rng = seeded_stream(seed, 0)
     params = {"n": n, "level": str(level), "sampler": s.describe()}
-    if s.kind in ("gaussian", "cauchy"):
-        if s.kind == "gaussian":
-            steps = rng.normal(s.mean, s.sd, (samples, n))
-        else:
-            steps = s.location + s.scale * rng.standard_cauchy((samples, n))
-        lf = float(level) if isinstance(level, (int, float)) else float(as_rational(level))
-        pos = np.cumsum(steps, axis=1)
-        prev = pos[:, n - 2] - lf if n >= 2 else np.full(samples, -lf)
-        cur = pos[:, n - 1] - lf
-        hits = int(np.count_nonzero(np.sign(prev) != np.sign(cur)))
-        return _bernoulli_estimate("crossing", hits, samples, seed, params)
-    level_q = _coerce_level(level)
-    if s.kind == "from_dist":
-        assert s.dist is not None
-        values, level_num, _ = _scaled_int_values(s.dist, level_q)
-        cum = _float_cumulative(s.dist.weights)
-        idx = _draw_indices(rng, cum, (samples, n))
-        max_abs = max((abs(v) for v in values), default=0)
-        if max_abs * n < _INT64_SAFE:
-            steps = np.array(values, dtype=np.int64)[idx]
-            pos = np.cumsum(steps, axis=1)
-            prev = pos[:, n - 2] - level_num if n >= 2 else np.full(samples, -level_num)
-            cur = pos[:, n - 1] - level_num
-            hits = int(np.count_nonzero(np.sign(prev) != np.sign(cur)))
-        else:
-            hits = 0
-            for row in idx:
-                total = 0
-                for k in row[: n - 1]:
-                    total += values[k]
-                prev_sign = _int_sign(total - level_num)
-                total += values[row[n - 1]]
-                if _int_sign(total - level_num) != prev_sign:
-                    hits += 1
-        return _bernoulli_estimate("crossing", hits, samples, seed, params)
-    fact = [factorial(k) for k in range(s.trunc + 1)]
-    cum = _index_cumulative(s.trunc)
-    idx = _draw_indices(rng, cum, (samples, n)) + 1
-    eps = rng.integers(0, 2, (samples, n)) * 2 - 1
-    lev_num, lev_den = level_q.numerator, level_q.denominator
-    hits = 0
-    for r in range(samples):
-        row, sgn = idx[r], eps[r]
-        total = 0
-        for k in range(n - 1):
-            total += int(sgn[k]) * fact[row[k]]
-        prev_sign = _int_sign(total * lev_den - lev_num)
-        total += int(sgn[n - 1]) * fact[row[n - 1]]
-        if _int_sign(total * lev_den - lev_num) != prev_sign:
-            hits += 1
+    sums, shift = _positions(s, n, samples, seed, level)
+    prev = cur = 0
+    for col in sums:
+        prev, cur = cur, col
+    hits = int(np.count_nonzero(np.sign(prev - shift) != np.sign(cur - shift)))
     return _bernoulli_estimate("crossing", hits, samples, seed, params)
-
-
-def _int_sign(x: int) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
 
 
 def mc_sign_changes(s: StepSampler, N: int, samples: int, seed: int) -> McEstimate:
@@ -243,60 +264,14 @@ def mc_sign_changes(s: StepSampler, N: int, samples: int, seed: int) -> McEstima
     _check_samples(samples)
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
-    rng = seeded_stream(seed, 0)
     params = {"N": N, "sampler": s.describe()}
-    if s.kind in ("gaussian", "cauchy"):
-        if s.kind == "gaussian":
-            steps = rng.normal(s.mean, s.sd, (samples, N))
-        else:
-            steps = s.location + s.scale * rng.standard_cauchy((samples, N))
-        signs = np.sign(np.cumsum(steps, axis=1))
-        padded = np.concatenate([np.zeros((samples, 1)), signs], axis=1)
-        counts = np.count_nonzero(padded[:, 1:] != padded[:, :-1], axis=1)
-        return _count_estimate("sign_changes", counts, samples, seed, params)
-    if s.kind == "from_dist":
-        assert s.dist is not None
-        values, _, _ = _scaled_int_values(s.dist, Fraction(0))
-        cum = _float_cumulative(s.dist.weights)
-        idx = _draw_indices(rng, cum, (samples, N))
-        max_abs = max((abs(v) for v in values), default=0)
-        if max_abs * N < _INT64_SAFE:
-            steps = np.array(values, dtype=np.int64)[idx]
-            signs = np.sign(np.cumsum(steps, axis=1))
-            padded = np.concatenate(
-                [np.zeros((samples, 1), dtype=np.int64), signs], axis=1
-            )
-            counts = np.count_nonzero(padded[:, 1:] != padded[:, :-1], axis=1)
-        else:
-            counts = np.empty(samples, dtype=np.int64)
-            for r in range(samples):
-                total = 0
-                prev = 0
-                changes = 0
-                for k in idx[r]:
-                    total += values[k]
-                    cur = _int_sign(total)
-                    if cur != prev:
-                        changes += 1
-                    prev = cur
-                counts[r] = changes
-        return _count_estimate("sign_changes", counts, samples, seed, params)
-    fact = [factorial(k) for k in range(s.trunc + 1)]
-    cum = _index_cumulative(s.trunc)
-    idx = _draw_indices(rng, cum, (samples, N)) + 1
-    eps = rng.integers(0, 2, (samples, N)) * 2 - 1
-    counts = np.empty(samples, dtype=np.int64)
-    for r in range(samples):
-        total = 0
-        prev = 0
-        changes = 0
-        for k in range(N):
-            total += int(eps[r, k]) * fact[idx[r, k]]
-            cur = _int_sign(total)
-            if cur != prev:
-                changes += 1
-            prev = cur
-        counts[r] = changes
+    sums, _ = _positions(s, N, samples, seed)
+    counts = np.zeros(samples, dtype=np.int64)
+    prev = 0
+    for col in sums:
+        cur = np.sign(col)
+        counts += cur != prev
+        prev = cur
     return _count_estimate("sign_changes", counts, samples, seed, params)
 
 
@@ -368,43 +343,23 @@ def factorial_dominance_stats(trunc: int, n: int, samples: int, seed: int) -> di
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n}")
     sampler = factorial_heavy(trunc)
+    idx, up = _factorial_draws(seeded_stream(seed, 0), trunc, (samples, n))
     fact = [factorial(k) for k in range(trunc + 1)]
-    rng = seeded_stream(seed, 0)
-    cum = _index_cumulative(trunc)
-    idx = _draw_indices(rng, cum, (samples, n)) + 1
-    eps = rng.integers(0, 2, (samples, n)) * 2 - 1
-    distinct_top = 0
-    certified = 0
-    certified_sign_ok = 0
-    distinct_sign_ok = 0
-    for r in range(samples):
-        row = idx[r]
-        m = int(row.max())
-        where = np.flatnonzero(row == m)
-        if len(where) != 1:
-            continue
-        distinct_top += 1
-        total = 0
-        rest = 0
-        for k in range(n):
-            term = int(eps[r, k]) * fact[row[k]]
-            total += term
-            if k != where[0]:
-                rest += fact[row[k]]
-        top_sign = int(eps[r, where[0]])
-        if _int_sign(total) == top_sign:
-            distinct_sign_ok += 1
-        if fact[m] > rest:
-            certified += 1
-            if _int_sign(total) == top_sign:
-                certified_sign_ok += 1
+    total = _last(_partial_sums(_signed_table(fact), idx + up * (trunc + 1)))
+    magnitude = _last(_partial_sums(fact, idx))
+    top = idx.max(axis=1)
+    distinct = np.count_nonzero(idx == top[:, None], axis=1) == 1
+    top_fact = np.array(fact, dtype=magnitude.dtype)[top]
+    dominant = distinct & (top_fact > magnitude - top_fact)
+    top_sign = 2 * up[np.arange(samples), idx.argmax(axis=1)] - 1
+    agree = distinct & (np.sign(total) == top_sign)
     return {
         "sampler": sampler.describe(),
         "samples": samples,
         "seed": seed,
         "n": n,
-        "distinct_top": distinct_top,
-        "certified": certified,
-        "certified_sign_ok": certified_sign_ok,
-        "distinct_sign_ok": distinct_sign_ok,
+        "distinct_top": int(np.count_nonzero(distinct)),
+        "certified": int(np.count_nonzero(dominant)),
+        "certified_sign_ok": int(np.count_nonzero(dominant & agree)),
+        "distinct_sign_ok": int(np.count_nonzero(agree)),
     }

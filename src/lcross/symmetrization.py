@@ -14,7 +14,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp
+from math import exp, ulp
 from typing import List, Tuple
 
 from .dist import DiscreteDist, make_dist
@@ -184,6 +184,16 @@ def random_threshold_check(d: DiscreteDist, w: DiscreteDist) -> Tuple[Fraction, 
     return total_sum, total_diff
 
 
+# The smallest positive float: the geometric cooling schedule underflows to
+# exactly 0.0 from iteration 741,818 on, and the floor changes no earlier
+# temperature while keeping the acceptance ratio's divisor positive.
+_MIN_TEMPERATURE = ulp(0.0)
+
+
+def _temperature(it: int) -> float:
+    return max(0.05 * (0.999 ** it), _MIN_TEMPERATURE)
+
+
 def adversarial_search(n_atoms: int, iterations: int, seed: int) -> Tuple[DiscreteDist, Fraction]:
     """Stochastic hill-climb over n_atoms-point laws maximizing gamma.
 
@@ -222,7 +232,7 @@ def adversarial_search(n_atoms: int, iterations: int, seed: int) -> Tuple[Discre
         if len(candidate) != n_atoms:
             continue
         gamma = ratio_scan(candidate).gamma
-        temp = 0.05 * (0.999 ** it)
+        temp = _temperature(it)
         if gamma >= current_gamma or rng.random() < exp(float(gamma - current_gamma) / temp):
             current, current_gamma = candidate, gamma
             if gamma > best_gamma:

@@ -10,7 +10,7 @@ the one it implies, and the decreasing trend must appear at K = 1024, where
 64 draws rarely reach the cutoff.
 """
 
-from lcross import factorial_heavy, mc_top_two_tie, top_two_tie_prob
+from lcross import acceptance, factorial_heavy, mc_top_two_tie, top_two_tie_prob
 from lcross.acceptance import (
     CROSSING_NS,
     TIE_NS,
@@ -112,3 +112,30 @@ def test_heavy_tail_scaled_trends_decrease():
 
 def test_mean_sign_changes_stay_below_partial_sum_bound():
     check(10)
+
+
+def test_check_seconds_cover_their_own_work(monkeypatch):
+    # Fill both shared caches cheaply, as an earlier check or caller would.
+    monkeypatch.setattr(acceptance.walk, "crossing_table", lambda spec: "stale")
+    monkeypatch.setattr(acceptance.mc, "mc_crossing", lambda *args: "stale")
+    monkeypatch.setattr(acceptance.mc, "mc_top_two_tie", lambda *args: "stale")
+    acceptance._symmetric_reports()
+    acceptance.heavy_tail_trends()
+    cached = []
+
+    def probe():
+        cached.append(
+            (
+                acceptance._symmetric_reports.cache_info().currsize,
+                acceptance.heavy_tail_trends.cache_info().currsize,
+            )
+        )
+        return True, "probe"
+
+    monkeypatch.setattr(acceptance, "_CRITERIA", [(0, "probe", probe, 1.0)])
+    try:
+        assert run_criterion(0).passed
+    finally:
+        acceptance._symmetric_reports.cache_clear()
+        acceptance.heavy_tail_trends.cache_clear()
+    assert cached == [(0, 0)]

@@ -137,6 +137,13 @@ def test_big_integer_path_matches_vectorized_path():
     a = mc_sign_changes(from_dist(big3), 4, 500, 9)
     b = mc_sign_changes(from_dist(rademacher()), 4, 500, 9)
     assert a.mean == b.mean
+    # {-1, +1} stays on int64; scaled by 2^61 the same walk needs exact
+    # integers from n = 2 on, yet every sign, hence every count, is shared.
+    small = from_dist(make_dist([(-1, 1), (1, 2)]))
+    huge = from_dist(make_dist([(-(2**61), 1), (2**61, 2)]))
+    for n, seed in ((2, 0), (3, 1), (8, 2), (17, 3)):
+        assert mc_crossing(small, n, 0, 400, seed) == mc_crossing(huge, n, 0, 400, seed)
+        assert mc_sign_changes(small, n, 400, seed) == mc_sign_changes(huge, n, 400, seed)
 
 
 def test_mc_sign_changes_examples():
@@ -232,3 +239,76 @@ def test_estimate_json_shape():
     doc = est.to_json_dict()
     assert set(doc) == {"estimand", "mean", "half_width_95", "samples", "seed", "params"}
     assert doc["params"]["n"] == 2 and doc["params"]["level"] == "0"
+
+
+# Exact results of the seeded MC streams, recorded before the position
+# engine was vectorised; any change to how draws are consumed or reduced
+# moves at least one of them.
+NEAR_2_61 = ((-(2**61) + 3, 2), (F(1, 2), 1), (2**61 - 1, 3))
+PINNED_SAMPLERS = {
+    "fh20": lambda: factorial_heavy(20),
+    "fh64": lambda: factorial_heavy(64),
+    "fh8": lambda: factorial_heavy(8),
+    "big3": lambda: from_dist(make_dist(NEAR_2_61)),
+}
+PINNED_ESTIMATES = [
+    ("crossing", "fh20", 8, "0", 11, "0x1.999999999999ap-5", "0x1.94133fcaa5aabp-6"),
+    ("crossing", "fh64", 12, "1/3", 11, "0x1.2c5f92c5f92c6p-5", "0x1.5c72fa9ad6aebp-6"),
+    ("crossing", "fh8", 6, "-5", 11, "0x1.8bf258bf258bfp-4", "0x1.11ef669bc4284p-5"),
+    ("crossing", "big3", 6, "5/2", 11, "0x1.c28f5c28f5c29p-4", "0x1.220d75e9b4f0ap-5"),
+    ("crossing", "big3", 3, str(2**61 - 1), 11, "0x1.999999999999ap-3", "0x1.72ce0923e199dp-5"),
+    ("sign_changes", "fh20", 12, None, 11, "0x1.1c28f5c28f5c3p+1", "0x1.18f838d844441p-3"),
+    ("sign_changes", "fh64", 16, None, 11, "0x1.317e4b17e4b18p+1", "0x1.5600a058176d4p-3"),
+    ("sign_changes", "big3", 8, None, 11, "0x1.f17e4b17e4b18p+0", "0x1.36e1d255a2e01p-3"),
+    ("crossing", "fh20", 8, "0", 12, "0x1.3a06d3a06d3a0p-4", "0x1.ed48f75f04b12p-6"),
+    ("crossing", "fh64", 12, "1/3", 12, "0x1.0369d0369d037p-4", "0x1.c391a7dc4b6fbp-6"),
+    ("crossing", "fh8", 6, "-5", 12, "0x1.c28f5c28f5c29p-4", "0x1.220d75e9b4f0ap-5"),
+    ("crossing", "big3", 6, "5/2", 12, "0x1.f92c5f92c5f93p-4", "0x1.30d1d066c7b5bp-5"),
+    ("crossing", "big3", 3, str(2**61 - 1), 12, "0x1.17e4b17e4b17ep-2", "0x1.9d2457837adc9p-5"),
+    ("sign_changes", "fh20", 12, None, 12, "0x1.21b4e81b4e81bp+1", "0x1.2e23644bd1506p-3"),
+    ("sign_changes", "fh64", 16, None, 12, "0x1.4666666666666p+1", "0x1.642df9c40c7dfp-3"),
+    ("sign_changes", "big3", 8, None, 12, "0x1.09d0369d0369dp+1", "0x1.38f48f679c0afp-3"),
+]
+PINNED_DOMINANCE = [
+    ((20, 8, 11), 275, 266, 266, 275),
+    ((20, 8, 12), 275, 266, 266, 273),
+    ((64, 16, 11), 291, 289, 289, 291),
+    ((64, 16, 12), 286, 286, 286, 286),
+]
+
+
+@pytest.mark.parametrize("fn,sampler,n,level,seed,mean,half", PINNED_ESTIMATES)
+def test_pinned_big_integer_streams(fn, sampler, n, level, seed, mean, half):
+    s = PINNED_SAMPLERS[sampler]()
+    if fn == "crossing":
+        est = mc_crossing(s, n, F(level), 300, seed)
+        assert est.params == {"n": n, "level": level, "sampler": s.describe()}
+    else:
+        est = mc_sign_changes(s, n, 300, seed)
+        assert est.params == {"N": n, "sampler": s.describe()}
+    assert (est.mean.hex(), est.half_width_95.hex()) == (mean, half)
+    assert (est.samples, est.seed) == (300, seed)
+
+
+@pytest.mark.parametrize("args,distinct,certified,certified_ok,distinct_ok", PINNED_DOMINANCE)
+def test_pinned_dominance_streams(args, distinct, certified, certified_ok, distinct_ok):
+    trunc, n, seed = args
+    assert factorial_dominance_stats(trunc, n, 300, seed) == {
+        "sampler": {"kind": "factorial_heavy", "trunc": trunc},
+        "samples": 300,
+        "seed": seed,
+        "n": n,
+        "distinct_top": distinct,
+        "certified": certified,
+        "certified_sign_ok": certified_ok,
+        "distinct_sign_ok": distinct_ok,
+    }
+
+
+def test_levels_beyond_int64_stay_exact():
+    # S_2 - l must not wrap around in int64 when the level itself is huge:
+    # a walk of two +-1 steps never crosses a level near +-2^63 or beyond.
+    r = from_dist(rademacher())
+    for level in (2**63 - 1, -(2**63) + 1, 2**64, F(2**70 + 1, 2)):
+        assert mc_crossing(r, 2, level, 1000, 0).mean == 0.0
+    assert mc_crossing(r, 1, 2**64, 1000, 0).mean == 0.0

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import exp
 
 import pytest
 
@@ -176,3 +177,16 @@ def test_adversarial_search_beats_family_start():
     _, gamma = adversarial_search(8, 200, seed=3)
     assert gamma >= ratio_scan(optimality_family(4)).gamma
     assert gamma >= F(7, 5)
+
+
+def test_annealing_temperature_has_a_positive_floor():
+    from lcross.symmetrization import _temperature
+
+    for it in (0, 1, 80, 10_000, 741_817):
+        assert _temperature(it) == 0.05 * (0.999 ** it) > 0.0
+    assert 0.05 * (0.999 ** 741_818) == 0.0
+    for it in (741_818, 10**6, 10**9):
+        temp = _temperature(it)
+        assert temp > 0.0
+        # A worse candidate is then rejected instead of dividing by zero.
+        assert exp(float(F(-1, 10**6)) / temp) == 0.0
