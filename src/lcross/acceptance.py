@@ -53,6 +53,14 @@ def _random_symmetric_dist(rng: random.Random) -> DiscreteDist:
     return make_dist(atoms)
 
 
+def _random_symmetric_matrix(rng: random.Random, n: int) -> List[List[Fraction]]:
+    entries = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            entries[i][j] = entries[j][i] = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+    return entries
+
+
 def _enum_crossing_probs(step: DiscreteDist, level: Fraction, horizon: int) -> List[Fraction]:
     """Brute-force crossing probabilities by full path enumeration."""
     den = lcm(*(w.denominator for w in step.weights))
@@ -234,18 +242,13 @@ def criterion_7() -> Tuple[bool, str]:
     rng = random.Random(404)
     for trial in range(500):
         n = rng.randint(1, 5)
-        entries = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                x = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
-                entries[i][j] = x
-                entries[j][i] = x
-        matrix = dichotomy.gram_from_table(entries)
+        matrix = dichotomy.gram_from_table(_random_symmetric_matrix(rng, n))
         verdict = dichotomy.dichotomy_check(matrix)
         min_value, _ = dichotomy.simplex_qp_min(matrix)
         oracle = _oracle_simplex_min(matrix.entries, {})
         if min_value != oracle:
             return False, f"trial {trial}: face minimum {min_value} != oracle {oracle}"
+        lp_witness = dichotomy.first_alternative(matrix)
         if verdict.branch == "first_alternative":
             p = verdict.witness
             assert p is not None
@@ -256,9 +259,10 @@ def criterion_7() -> Tuple[bool, str]:
                 return False, f"trial {trial}: witness has positive form value {value}"
             if min_value > 0:
                 return False, f"trial {trial}: both branches hold"
-        else:
-            if min_value <= 0:
-                return False, f"trial {trial}: neither branch holds"
+            if lp_witness is None or sum(map(bool, p)) != sum(map(bool, lp_witness)):
+                return False, f"trial {trial}: witness support differs from the LP's"
+        elif min_value <= 0 or lp_witness is not None:
+            return False, f"trial {trial}: neither branch holds, or the LP finds a witness"
     for trial in range(100):
         size = rng.randint(1, 6)
         support: set = set()

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import acceptance
-from .dichotomy import dichotomy_check, lemma1_witness, problem_from_json_dict
+from .dichotomy import _check_cap, dichotomy_check, lemma1_witness, problem_from_json_dict
 from .dist import DiscreteDist, from_json, interval_prob, lazy, rademacher, uniform_range
 from .errors import InvalidDistribution, InvalidKernel, LcrossError, TheoremViolation
 from .mc import cauchy, factorial_heavy, from_dist, gaussian, mc_crossing, mc_sign_changes, mc_top_two_tie
@@ -86,6 +86,8 @@ def _cmd_dichotomy(args: argparse.Namespace) -> int:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InvalidKernel(f"invalid JSON in {args.input}: {exc}") from exc
+    if isinstance(obj, dict) and isinstance(obj.get("support"), list):
+        _check_cap(len(obj["support"]), args.cap)
     matrix = problem_from_json_dict(obj)
     verdict = dichotomy_check(matrix, cap=args.cap)
     print(json.dumps(verdict.to_json_dict(), indent=2))

@@ -2,9 +2,11 @@
 
 For a symmetric rational matrix A exactly one of two things happens:
 either some probability vector p has (Ap)_i <= 0 at every index of its
-support, or q'Aq > 0 for every probability vector q.  Both sides are
-decided exactly: the first by a rational phase-1 simplex over all support
-subsets, the second by face enumeration of the simplex minimum of q'Aq.
+support, or q'Aq > 0 for every probability vector q.  One exact face
+enumeration decides both: a critical point q on an open face has
+(Aq)_i = q'Aq on its support, so the first with q'Aq <= 0 is a witness.
+`first_alternative`, a phase-1 simplex over support subsets, is kept as
+an independent reference.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .dist import DiscreteDist, interval_prob
 from .errors import InvalidKernel, ResourceLimit, TheoremViolation
@@ -126,20 +128,20 @@ def gram_matrix(kernel: KernelSpec, support: Sequence[RationalLike]) -> GramMatr
     return GramMatrix(xs, entries)
 
 
-def _check_cap(matrix: GramMatrix, cap: int) -> None:
-    if len(matrix) > cap:
+def _check_cap(size: int, cap: int) -> None:
+    if size > cap:
         raise ResourceLimit(
-            f"matrix size {len(matrix)} exceeds the subset-enumeration cap {cap}"
+            f"matrix size {size} exceeds the subset-enumeration cap {cap}"
         )
 
 
 def _solve_linear(
     rows: List[List[Fraction]], rhs: List[Fraction]
-) -> Tuple[str, Optional[List[Fraction]]]:
+) -> Optional[List[Fraction]]:
     """Exact Gauss-Jordan solve of rows * x = rhs.
 
-    Returns ("unique", x), ("multiple", x) with free variables set to zero,
-    or ("inconsistent", None).
+    Returns a solution with free variables set to zero, or None when the
+    system is inconsistent.
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
@@ -167,36 +169,37 @@ def _solve_linear(
             break
     for rr in range(r, m):
         if aug[rr][ncols] != 0:
-            return "inconsistent", None
+            return None
     x = [Fraction(0)] * ncols
     for row, col in pivots:
         x[col] = aug[row][ncols]
-    status = "unique" if len(pivots) == ncols else "multiple"
-    return status, x
+    return x
 
 
-def _face_critical_point(
-    A: Tuple[Tuple[Fraction, ...], ...], subset: Tuple[int, ...]
-) -> Optional[Tuple[List[Fraction], Fraction]]:
-    """Solve A_S q = lambda*1, sum q = 1 on a face; keep open-face solutions.
+def _critical_points(
+    matrix: GramMatrix, cap: int
+) -> Iterator[Tuple[Tuple[Fraction, ...], Fraction]]:
+    """Yield (q, lambda) with A_S q = lambda*1, sum q = 1, q > 0 on each face S.
 
-    All solutions of the bordered system share the same lambda, which equals
-    the quadratic form's value there, so returning any one of them is exact.
-    Solutions outside the open face are dropped: smaller faces cover them.
+    Faces come by increasing size, lexicographic within a size; q is padded
+    with zeros to the full support, so lambda = q'Aq = (Aq)_i on S.  All
+    solutions of a face's bordered system share lambda, so taking any one is
+    exact; one outside the open face is dropped, as smaller faces cover it.
     """
-    k = len(subset)
-    rows = []
-    for i in subset:
-        rows.append([A[i][j] for j in subset] + [Fraction(-1)])
-    rows.append([Fraction(1)] * k + [Fraction(0)])
-    rhs = [Fraction(0)] * k + [Fraction(1)]
-    status, sol = _solve_linear(rows, rhs)
-    if sol is None:
-        return None
-    q, lam = sol[:k], sol[k]
-    if any(qi <= 0 for qi in q):
-        return None
-    return q, lam
+    _check_cap(len(matrix), cap)
+    A = matrix.entries
+    n = len(matrix)
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            rows = [[A[i][j] for j in subset] + [Fraction(-1)] for i in subset]
+            rows.append([Fraction(1)] * size + [Fraction(0)])
+            sol = _solve_linear(rows, [Fraction(0)] * size + [Fraction(1)])
+            if sol is None or any(x <= 0 for x in sol[:size]):
+                continue
+            q = [Fraction(0)] * n
+            for pos, i in enumerate(subset):
+                q[i] = sol[pos]
+            yield tuple(q), sol[size]
 
 
 def simplex_qp_min(matrix: GramMatrix, cap: int = DEFAULT_CAP) -> Tuple[Fraction, Tuple[Fraction, ...]]:
@@ -204,26 +207,11 @@ def simplex_qp_min(matrix: GramMatrix, cap: int = DEFAULT_CAP) -> Tuple[Fraction
 
     Face enumeration: every minimizer lies in the relative interior of some
     face, where it solves the bordered system A_S q = lambda*1, sum q = 1.
-    Vertices are the size-1 faces, so they are always included.
+    Vertices are the size-1 faces, so they are always included.  Of equal
+    minima, the first face in (size, lexicographic) order gives the minimizer.
     """
-    _check_cap(matrix, cap)
-    A = matrix.entries
-    n = len(matrix)
-    best_val: Optional[Fraction] = None
-    best_q: Optional[Tuple[Fraction, ...]] = None
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            found = _face_critical_point(A, subset)
-            if found is None:
-                continue
-            q, lam = found
-            if best_val is None or lam < best_val:
-                full = [Fraction(0)] * n
-                for pos, i in enumerate(subset):
-                    full[i] = q[pos]
-                best_val, best_q = lam, tuple(full)
-    assert best_val is not None and best_q is not None
-    return best_val, best_q
+    q, value = min(_critical_points(matrix, cap), key=lambda point: point[1])
+    return value, q
 
 
 def _subset_feasible(
@@ -298,7 +286,7 @@ def first_alternative(
     Subsets are searched by increasing size, lexicographic within a size,
     so the returned witness is deterministic.
     """
-    _check_cap(matrix, cap)
+    _check_cap(len(matrix), cap)
     A = matrix.entries
     n = len(matrix)
     for size in range(1, n + 1):
@@ -338,25 +326,27 @@ class DichotomyVerdict:
 
 
 def dichotomy_check(matrix: GramMatrix, cap: int = DEFAULT_CAP) -> DichotomyVerdict:
-    """Decide which branch holds, with exact certificates either way."""
-    witness = first_alternative(matrix, cap)
-    if witness is not None:
-        A = matrix.entries
-        n = len(matrix)
-        for i in range(n):
-            if witness[i] > 0:
-                applied = sum(A[i][j] * witness[j] for j in range(n))
-                if applied > 0:
+    """Decide which branch holds, with exact certificates either way.
+
+    One pass over the faces of `simplex_qp_min`.  The first critical point
+    with value <= 0 is the witness; any witness p has p'Ap <= 0, so one
+    turns up on a face no larger than supp(p).  Otherwise the verdict
+    carries the positive minimum and minimizer of `simplex_qp_min`.
+    """
+    A = matrix.entries
+    best: Optional[Tuple[Tuple[Fraction, ...], Fraction]] = None
+    for q, lam in _critical_points(matrix, cap):
+        if lam <= 0:
+            for i, row in enumerate(A):
+                if q[i] > 0 and sum(a * x for a, x in zip(row, q)) > 0:
                     raise TheoremViolation(
                         f"witness fails its own certificate at index {i}"
                     )
-        return DichotomyVerdict("first_alternative", witness, None, None)
-    value, minimizer = simplex_qp_min(matrix, cap)
-    if value <= 0:
-        raise TheoremViolation(
-            f"no witness exists yet the simplex minimum is {value} <= 0"
-        )
-    return DichotomyVerdict("positive_form", None, value, minimizer)
+            return DichotomyVerdict("first_alternative", q, None, None)
+        if best is None or lam < best[1]:
+            best = (q, lam)
+    assert best is not None
+    return DichotomyVerdict("positive_form", None, best[1], best[0])
 
 
 def lemma1_witness(d: DiscreteDist, window: RationalLike = 1) -> Fraction:

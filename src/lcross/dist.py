@@ -10,16 +10,34 @@ the fast representation for iterated convolution.
 from __future__ import annotations
 
 import json
+import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Tuple
 
-from .errors import InvalidDistribution, InvalidInterval
+from .errors import InvalidDistribution, InvalidInterval, ResourceLimit
 from .rationals import RationalLike, as_rational, format_rational, rational_gcd
 
 Atom = Tuple[Fraction, Fraction]
+
+DEFAULT_MAX_SUPPORT = 1_000_000
+MAX_SUPPORT_ENV = "LCROSS_MAX_SUPPORT"
+
+
+def support_cap() -> int:
+    """Maximum lattice sites per marginal; override with LCROSS_MAX_SUPPORT."""
+    raw = os.environ.get(MAX_SUPPORT_ENV)
+    if raw is None:
+        return DEFAULT_MAX_SUPPORT
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        raise ValueError(f"{MAX_SUPPORT_ENV} must be an integer, got {raw!r}") from exc
+    if cap < 1:
+        raise ValueError(f"{MAX_SUPPORT_ENV} must be positive, got {cap}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -232,7 +250,8 @@ def to_lattice(d: DiscreteDist) -> LatticeDist:
     """Embed a law into its coarsest arithmetic progression.
 
     The step is the gcd of successive value differences; a point mass gets
-    step one by convention.
+    step one by convention.  A law spanning more lattice sites than
+    `support_cap()` raises ResourceLimit before any site is allocated.
     """
     values = d.values
     if len(values) == 1:
@@ -244,6 +263,9 @@ def to_lattice(d: DiscreteDist) -> LatticeDist:
     origin = values[0]
     span = (values[-1] - origin) / step
     size = span.numerator + 1
+    limit = support_cap()
+    if size > limit:
+        raise ResourceLimit(f"step law spans {size} lattice sites, over the cap of {limit}")
     den = lcm(*(w.denominator for w in d.weights))
     nums = [0] * size
     for v, w in d.atoms:

@@ -11,50 +11,30 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, sqrt
 from typing import Iterator, List, Optional, Tuple
 
+from .dist import DEFAULT_MAX_SUPPORT, MAX_SUPPORT_ENV, support_cap  # re-exported
 from .dist import DiscreteDist, LatticeDist, lattice_convolve, to_lattice
 from .errors import NotApplicable, ResourceLimit
 from .rationals import RationalLike, as_rational, format_rational
 
-DEFAULT_MAX_SUPPORT = 1_000_000
-MAX_SUPPORT_ENV = "LCROSS_MAX_SUPPORT"
-
-
-def support_cap() -> int:
-    """Maximum lattice size per marginal; override with LCROSS_MAX_SUPPORT."""
-    raw = os.environ.get(MAX_SUPPORT_ENV)
-    if raw is None:
-        return DEFAULT_MAX_SUPPORT
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{MAX_SUPPORT_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError(f"{MAX_SUPPORT_ENV} must be positive, got {cap}")
-    return cap
-
 
 @dataclass(frozen=True)
 class WalkSpec:
-    """Step law, level, horizon, and the (single supported) sign convention."""
+    """Step law, level and horizon; signs are three-valued, sgn(0) = 0."""
 
     step: DiscreteDist
     level: Fraction = Fraction(0)
     horizon: int = 1
-    sign_convention: str = "three_valued"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "level", as_rational(self.level))
         if not isinstance(self.horizon, int) or self.horizon < 1:
             raise ValueError(f"horizon must be a positive integer, got {self.horizon}")
-        if self.sign_convention != "three_valued":
-            raise ValueError(f"unsupported sign convention {self.sign_convention!r}")
 
 
 @dataclass(frozen=True)
@@ -195,9 +175,9 @@ def _domination_fraction(prev: LatticeDist, step: DiscreteDist) -> Fraction:
     return total
 
 
-def _scan(spec: WalkSpec, cap: Optional[int] = None) -> Iterator[Tuple[int, Fraction, LatticeDist, LatticeDist]]:
+def _scan(spec: WalkSpec) -> Iterator[Tuple[int, Fraction, LatticeDist, LatticeDist]]:
     """Yield (n, p_n, marginal of S_{n-1}, marginal of S_n) for n = 1..horizon."""
-    limit = support_cap() if cap is None else cap
+    limit = support_cap()
     step_lat = to_lattice(spec.step)
     prev = LatticeDist(Fraction(0), step_lat.step, (1,), 1)
     for n in range(1, spec.horizon + 1):

@@ -131,11 +131,21 @@ def test_dichotomy_witness_and_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_dichotomy_cap(tmp_path, capsys):
+def test_dichotomy_cap(tmp_path, capsys, monkeypatch):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({"support": [0, 2, 4], "kernel": "123"}))
     assert run(["dichotomy", "--input", str(path), "--cap", "2"]) == 2
     assert "cap" in capsys.readouterr().err
+
+    def no_gram(*args):
+        raise AssertionError("the Gram matrix was built before the cap check")
+
+    monkeypatch.setattr("lcross.dichotomy.gram_matrix", no_gram)
+    path.write_text(json.dumps({"support": list(range(100)), "kernel": "sym2"}))
+    assert run(["dichotomy", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: matrix size 100 exceeds the subset-enumeration cap 15\n"
+    )
 
 
 def test_lemma1(capsys):

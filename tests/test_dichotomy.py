@@ -22,8 +22,7 @@ from lcross import (
     simplex_qp_min,
     sym2_kernel,
 )
-from lcross.acceptance import _oracle_simplex_min
-from helpers import random_symmetric_matrix
+from lcross.acceptance import _oracle_simplex_min, _random_symmetric_matrix
 
 
 def form_value(matrix, q):
@@ -90,13 +89,26 @@ def test_dichotomy_worked_examples():
     assert verdict.witness == (F(1),) and verdict.min_value is None
 
 
+def small_integer_table(rng, n):
+    """Symmetric table with entries in {-2..2}/{1,2}: ties and singular faces."""
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = F(rng.randint(-2, 2), rng.randint(1, 2))
+    return rows
+
+
 def test_random_matrices_exactly_one_branch():
     rng = random.Random(41)
-    for _ in range(120):
-        m = gram_from_table(random_symmetric_matrix(rng, rng.randint(1, 5)))
+    tables = [_random_symmetric_matrix(rng, rng.randint(1, 5)) for _ in range(120)]
+    rng = random.Random(47)
+    tables += [small_integer_table(rng, rng.randint(1, 6)) for _ in range(300)]
+    for rows in tables:
+        m = gram_from_table(rows)
         verdict = dichotomy_check(m)
         value, q = simplex_qp_min(m)
         assert form_value(m, q) == value
+        lp_witness = first_alternative(m)
         if verdict.branch == "first_alternative":
             p = verdict.witness
             assert sum(p) == 1 and all(x >= 0 for x in p)
@@ -105,17 +117,19 @@ def test_random_matrices_exactly_one_branch():
                     assert sum(m.entries[i][j] * p[j] for j in range(len(m))) <= 0
             assert form_value(m, p) <= 0
             assert value <= 0
+            assert sum(map(bool, p)) == sum(map(bool, lp_witness))
         else:
             assert verdict.branch == "positive_form"
-            assert verdict.min_value == value > 0
-            assert first_alternative(m) is None
+            assert (verdict.min_value, verdict.minimizer) == (value, q)
+            assert value > 0
+            assert lp_witness is None
 
 
 def test_simplex_min_matches_recursive_oracle():
     rng = random.Random(42)
     cache: dict = {}
     for _ in range(60):
-        m = gram_from_table(random_symmetric_matrix(rng, rng.randint(1, 4)))
+        m = gram_from_table(_random_symmetric_matrix(rng, rng.randint(1, 4)))
         value, _ = simplex_qp_min(m)
         assert value == _oracle_simplex_min(m.entries, cache)
 
@@ -124,7 +138,7 @@ def test_simplex_min_below_random_simplex_samples():
     rng = random.Random(43)
     for _ in range(30):
         n = rng.randint(1, 4)
-        m = gram_from_table(random_symmetric_matrix(rng, n))
+        m = gram_from_table(_random_symmetric_matrix(rng, n))
         value, _ = simplex_qp_min(m)
         for _ in range(60):
             raw = [F(rng.randint(0, 9)) for _ in range(n)]
@@ -138,7 +152,7 @@ def test_simplex_min_below_random_simplex_samples():
 def test_simplex_min_scales_linearly():
     rng = random.Random(44)
     for _ in range(20):
-        m = gram_from_table(random_symmetric_matrix(rng, rng.randint(1, 4)))
+        m = gram_from_table(_random_symmetric_matrix(rng, rng.randint(1, 4)))
         value, q = simplex_qp_min(m)
         for c in (F(2), F(1, 3), F(7, 2)):
             scaled = gram_from_table([[c * a for a in row] for row in m.entries])
@@ -171,11 +185,11 @@ def test_lemma1_witness_worked_examples():
 
 def test_lemma1_witness_certificate_on_random_laws():
     from lcross import interval_prob
-    from helpers import random_dist
+    from lcross.acceptance import _random_dist
 
     rng = random.Random(46)
     for _ in range(80):
-        d = random_dist(rng, 6, span=8)
+        d = _random_dist(rng, 6, span=8)
         w = F(rng.randint(1, 4), rng.randint(1, 3))
         x = lemma1_witness(d, w)
         assert d.prob(x) > 0

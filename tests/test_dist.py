@@ -24,7 +24,7 @@ from lcross import (
     to_lattice,
     uniform_range,
 )
-from helpers import random_dist
+from lcross.acceptance import _random_dist
 
 
 def test_make_dist_merges_sorts_normalizes():
@@ -94,7 +94,7 @@ def test_symmetrize_worked_examples():
 def test_symmetrize_is_symmetric_on_random_laws():
     rng = random.Random(5)
     for _ in range(30):
-        d = random_dist(rng, 5)
+        d = _random_dist(rng, 5)
         s = symmetrize(d)
         assert s == negate(s)
         assert s.is_symmetric()
@@ -103,7 +103,7 @@ def test_symmetrize_is_symmetric_on_random_laws():
 def test_convolve_commutative_associative_on_random_laws():
     rng = random.Random(6)
     for _ in range(20):
-        a, b, c = (random_dist(rng, 4) for _ in range(3))
+        a, b, c = (_random_dist(rng, 4) for _ in range(3))
         assert convolve(a, b) == convolve(b, a)
         assert convolve(convolve(a, b), c) == convolve(a, convolve(b, c))
 
@@ -111,7 +111,7 @@ def test_convolve_commutative_associative_on_random_laws():
 def test_convolve_matches_pair_enumeration():
     rng = random.Random(7)
     for _ in range(20):
-        a, b = random_dist(rng, 6), random_dist(rng, 6)
+        a, b = _random_dist(rng, 6), _random_dist(rng, 6)
         table: dict = {}
         for va, wa in a.atoms:
             for vb, wb in b.atoms:
@@ -146,14 +146,14 @@ def test_to_lattice_worked_examples():
 def test_lattice_round_trip_on_random_laws():
     rng = random.Random(8)
     for _ in range(40):
-        d = random_dist(rng, 6)
+        d = _random_dist(rng, 6)
         assert to_lattice(d).to_dist() == d
 
 
 def test_lattice_convolve_matches_dist_convolve():
     rng = random.Random(9)
     for _ in range(20):
-        a, b = random_dist(rng, 5), random_dist(rng, 5)
+        a, b = _random_dist(rng, 5), _random_dist(rng, 5)
         exact = convolve(a, b)
         fast = lattice_convolve(to_lattice(a), to_lattice(b)).to_dist()
         assert fast == exact

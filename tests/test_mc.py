@@ -25,7 +25,7 @@ from lcross import (
     seeded_stream,
     top_two_tie_prob,
 )
-from helpers import random_dist
+from lcross.acceptance import _random_dist
 
 
 def within_three_sigma(est, exact):
@@ -117,7 +117,7 @@ def test_mc_vs_exact_calibration_random_laws():
     hits = 0
     trials = 30
     for seed in range(trials):
-        d = random_dist(rng, 4, span=4, max_den=2)
+        d = _random_dist(rng, 4, span=4, max_den=2)
         n = rng.randint(1, 6)
         level = F(rng.randint(-2, 2), rng.randint(1, 2))
         exact = crossing_prob(WalkSpec(d, level, 8), n)

@@ -16,7 +16,7 @@ from lcross import (
     ratio_scan,
     uniform_range,
 )
-from helpers import random_dist
+from lcross.acceptance import _random_dist
 
 
 def brute_pair_abs_prob(d, c, mode):
@@ -45,7 +45,7 @@ def test_pair_abs_prob_worked_examples():
 def test_pair_abs_prob_matches_brute_force():
     rng = random.Random(31)
     for _ in range(40):
-        d = random_dist(rng, 8, span=12)
+        d = _random_dist(rng, 8, span=12)
         c = F(rng.randint(0, 30), rng.randint(1, 4))
         for mode in ("sum", "diff"):
             assert pair_abs_prob(d, c, mode) == brute_pair_abs_prob(d, c, mode)
@@ -65,7 +65,7 @@ def test_ratio_scan_worked_examples():
 def test_ratio_scan_rows_are_step_function_values():
     rng = random.Random(32)
     for _ in range(20):
-        d = random_dist(rng, 6)
+        d = _random_dist(rng, 6)
         rep = ratio_scan(d)
         for row in rep.rows:
             assert row.num == brute_pair_abs_prob(d, row.c, "sum")
@@ -79,7 +79,7 @@ def test_ratio_scan_rows_are_step_function_values():
 def test_gamma_is_scale_invariant():
     rng = random.Random(33)
     for _ in range(10):
-        d = random_dist(rng, 5)
+        d = _random_dist(rng, 5)
         for a in (F(2), F(1, 3), F(-5)):
             scaled = make_dist([(a * v, w) for v, w in d.atoms])
             assert ratio_scan(scaled).gamma == ratio_scan(d).gamma
@@ -116,7 +116,7 @@ def test_random_threshold_check():
 def test_random_threshold_factor_two():
     rng = random.Random(34)
     for _ in range(25):
-        d = random_dist(rng, 5)
+        d = _random_dist(rng, 5)
         w = make_dist(
             [(F(rng.randint(0, 8), rng.randint(1, 3)), rng.randint(1, 5)) for _ in range(3)]
         )
@@ -127,14 +127,14 @@ def test_random_threshold_factor_two():
 def test_zero_threshold_lemma():
     rng = random.Random(35)
     for _ in range(40):
-        d = random_dist(rng, 6)
+        d = _random_dist(rng, 6)
         assert pair_abs_prob(d, 0, "sum") <= pair_abs_prob(d, 0, "diff")
 
 
 def test_strictness_on_random_laws():
     rng = random.Random(36)
     for _ in range(300):
-        d = random_dist(rng, 8, span=12)
+        d = _random_dist(rng, 8, span=12)
         for row in ratio_scan(d).rows:
             assert row.num < 2 * row.den
 

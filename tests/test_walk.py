@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -19,8 +20,7 @@ from lcross import (
     rademacher,
     walk_marginals,
 )
-from lcross.acceptance import _enum_crossing_probs
-from helpers import random_dist, random_symmetric_dist
+from lcross.acceptance import _enum_crossing_probs, _random_dist, _random_symmetric_dist
 
 
 def test_walk_marginals_worked_examples():
@@ -75,7 +75,7 @@ def test_crossing_table_degenerate_and_asymmetric():
 def test_crossing_matches_path_enumeration():
     rng = random.Random(21)
     for _ in range(15):
-        step = random_dist(rng, 4, span=4, max_den=3)
+        step = _random_dist(rng, 4, span=4, max_den=3)
         level = F(rng.randint(-3, 3), rng.randint(1, 2))
         report = crossing_table(WalkSpec(step=step, level=level, horizon=6))
         oracle = _enum_crossing_probs(step, level, 6)
@@ -85,7 +85,7 @@ def test_crossing_matches_path_enumeration():
 def test_crossing_reflection_invariance():
     rng = random.Random(22)
     for _ in range(15):
-        step = random_dist(rng, 4, span=4)
+        step = _random_dist(rng, 4, span=4)
         level = F(rng.randint(-3, 3), rng.randint(1, 2))
         a = crossing_table(WalkSpec(step=step, level=level, horizon=5))
         b = crossing_table(WalkSpec(step=negate(step), level=-level, horizon=5))
@@ -95,7 +95,7 @@ def test_crossing_reflection_invariance():
 def test_symmetric_bounds_on_random_laws():
     rng = random.Random(23)
     for _ in range(15):
-        step = random_symmetric_dist(rng)
+        step = _random_symmetric_dist(rng)
         report = crossing_table(WalkSpec(step=step, level=F(0), horizon=24))
         for row in report.rows:
             assert row.lower_bound_ok
@@ -118,7 +118,7 @@ def test_dominated_crossing_bound():
 def test_domination_bound_brute_force():
     rng = random.Random(24)
     for _ in range(10):
-        step = random_dist(rng, 4, span=3)
+        step = _random_dist(rng, 4, span=3)
         spec = WalkSpec(step=step, level=F(0), horizon=3)
         prev = walk_marginals(spec)[1]
         expected = F(0)
@@ -142,7 +142,7 @@ def test_concentration():
 def test_concentration_monotone_and_saturating():
     rng = random.Random(25)
     for _ in range(10):
-        d = random_dist(rng, 6)
+        d = _random_dist(rng, 6)
         widths = [F(k, 2) for k in range(0, 8)]
         values = [concentration(d, w) for w in widths]
         assert all(a <= b for a, b in zip(values, values[1:]))
@@ -161,14 +161,22 @@ def test_expected_sign_changes():
 def test_walk_spec_validation():
     with pytest.raises(ValueError):
         WalkSpec(step=rademacher(), horizon=0)
-    with pytest.raises(ValueError):
-        WalkSpec(step=rademacher(), horizon=4, sign_convention="strict")
 
 
 def test_resource_cap(monkeypatch):
     monkeypatch.setenv("LCROSS_MAX_SUPPORT", "10")
     with pytest.raises(ResourceLimit):
         crossing_table(WalkSpec(step=rademacher(), horizon=64))
+    monkeypatch.setenv("LCROSS_MAX_SUPPORT", "1000")
+    wide = make_dist([(0, 1), (1, 1), (10**7, 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match="10000001 lattice sites"):
+            crossing_table(WalkSpec(step=wide, horizon=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
     monkeypatch.setenv("LCROSS_MAX_SUPPORT", "banana")
     with pytest.raises(ValueError):
         crossing_table(WalkSpec(step=rademacher(), horizon=4))
