@@ -2,9 +2,10 @@
 
 A law is a finite set of (value, weight) pairs with positive rational
 weights summing to one.  Everything here is exact: no floats are created
-or accepted.  The lattice form embeds a law into an arithmetic progression
-with integer weight numerators over a single common denominator, which is
-the fast representation for iterated convolution.
+or accepted.  Window and pair queries read each law's cached integer form,
+values and weights over the lcms of their denominators.  The lattice form
+embeds a law into an arithmetic progression with integer weight numerators
+over one common denominator, the representation for iterated convolution.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from itertools import accumulate
+from math import gcd, lcm
 from typing import Iterable, Optional, Tuple
 
 from .errors import InvalidDistribution, InvalidInterval, ResourceLimit
@@ -38,6 +41,23 @@ def support_cap() -> int:
     if cap < 1:
         raise ValueError(f"{MAX_SUPPORT_ENV} must be positive, got {cap}")
     return cap
+
+
+@dataclass(frozen=True)
+class _Scaled:
+    """Integer form of a law: atom i is values[i] / scale with mass weights[i] / den."""
+
+    scale: int
+    values: Tuple[int, ...]
+    den: int
+    weights: Tuple[int, ...]
+    prefix: Tuple[int, ...]
+
+    def window(self, lo: int, hi: int) -> int:
+        """Weight numerator of the scaled values in the closed window [lo, hi]."""
+        i = bisect_left(self.values, lo)
+        j = bisect_right(self.values, hi)
+        return self.prefix[j] - self.prefix[i] if j > i else 0
 
 
 @dataclass(frozen=True)
@@ -74,13 +94,18 @@ class DiscreteDist:
     def __len__(self) -> int:
         return len(self.atoms)
 
+    @cached_property
+    def _scaled(self) -> _Scaled:
+        """Values and weights over the lcms of their denominators, built on first use."""
+        scale = lcm(*(v.denominator for v, _ in self.atoms))
+        den = lcm(*(w.denominator for _, w in self.atoms))
+        values = tuple(v.numerator * (scale // v.denominator) for v, _ in self.atoms)
+        weights = tuple(w.numerator * (den // w.denominator) for _, w in self.atoms)
+        return _Scaled(scale, values, den, weights, (0, *accumulate(weights)))
+
     def prob(self, v: RationalLike) -> Fraction:
         """Mass at the single point v."""
-        v = as_rational(v)
-        i = bisect_left(self.values, v)
-        if i < len(self.atoms) and self.atoms[i][0] == v:
-            return self.atoms[i][1]
-        return Fraction(0)
+        return interval_prob(self, v, v)
 
     def is_symmetric(self) -> bool:
         """True when the law equals its reflection about zero."""
@@ -171,22 +196,19 @@ def interval_prob(
     hi_closed: bool = True,
 ) -> Fraction:
     """Mass of the interval from lo to hi; None means an infinite endpoint."""
-    values = d.values
     lo_q = None if lo is None else as_rational(lo)
     hi_q = None if hi is None else as_rational(hi)
     if lo_q is not None and hi_q is not None and lo_q > hi_q:
         raise InvalidInterval(f"reversed endpoints {lo_q} > {hi_q}")
-    if lo_q is None:
-        i = 0
-    else:
-        i = bisect_left(values, lo_q) if lo_closed else bisect_right(values, lo_q)
-    if hi_q is None:
-        j = len(values)
-    else:
-        j = bisect_right(values, hi_q) if hi_closed else bisect_left(values, hi_q)
-    if j <= i:
-        return Fraction(0)
-    return sum(d.weights[i:j], Fraction(0))
+    s = d._scaled
+    # Scaled atoms are integers, so an end t/q becomes an integer bound:
+    # x > t/q iff x >= t//q + 1, and x >= t/q iff x > (t-1)/q; mirrored above.
+    lo_i, hi_i = s.values[0], s.values[-1]
+    if lo_q is not None:
+        lo_i = (lo_q.numerator * s.scale - bool(lo_closed)) // lo_q.denominator + 1
+    if hi_q is not None:
+        hi_i = (hi_q.numerator * s.scale - (not hi_closed)) // hi_q.denominator
+    return Fraction(s.window(lo_i, hi_i), s.den)
 
 
 @dataclass(frozen=True)
@@ -253,25 +275,17 @@ def to_lattice(d: DiscreteDist) -> LatticeDist:
     step one by convention.  A law spanning more lattice sites than
     `support_cap()` raises ResourceLimit before any site is allocated.
     """
-    values = d.values
-    if len(values) == 1:
-        step = Fraction(1)
-    else:
-        step = Fraction(0)
-        for i in range(1, len(values)):
-            step = rational_gcd(step, values[i] - values[i - 1])
-    origin = values[0]
-    span = (values[-1] - origin) / step
-    size = span.numerator + 1
+    s = d._scaled
+    x0 = s.values[0]
+    g = gcd(*(x - x0 for x in s.values)) or s.scale
+    size = (s.values[-1] - x0) // g + 1
     limit = support_cap()
     if size > limit:
         raise ResourceLimit(f"step law spans {size} lattice sites, over the cap of {limit}")
-    den = lcm(*(w.denominator for w in d.weights))
     nums = [0] * size
-    for v, w in d.atoms:
-        idx = (v - origin) / step
-        nums[idx.numerator] = w.numerator * (den // w.denominator)
-    return LatticeDist(origin, step, tuple(nums), den)
+    for x, m in zip(s.values, s.weights):
+        nums[(x - x0) // g] = m
+    return LatticeDist(d.atoms[0][0], Fraction(g, s.scale), tuple(nums), s.den)
 
 
 def lattice_convolve(a: LatticeDist, b: LatticeDist) -> LatticeDist:
@@ -282,8 +296,13 @@ def lattice_convolve(a: LatticeDist, b: LatticeDist) -> LatticeDist:
     """
     if a.step != b.step:
         g = rational_gcd(a.step, b.step)
-        a = _rescale(a, g)
-        b = _rescale(b, g)
+        stride_a, stride_b = (a.step / g).numerator, (b.step / g).numerator
+        size = (len(a) - 1) * stride_a + (len(b) - 1) * stride_b + 1
+        limit = support_cap()
+        if size > limit:
+            raise ResourceLimit(f"convolution spans {size} lattice sites, over the cap of {limit}")
+        a = _rescale(a, g, stride_a)
+        b = _rescale(b, g, stride_b)
     out = [0] * (len(a) + len(b) - 1)
     for i, na in enumerate(a.numerators):
         if not na:
@@ -294,16 +313,12 @@ def lattice_convolve(a: LatticeDist, b: LatticeDist) -> LatticeDist:
     return LatticeDist(a.origin + b.origin, a.step, tuple(out), a.denominator * b.denominator)
 
 
-def _rescale(d: LatticeDist, step: Fraction) -> LatticeDist:
-    stride = d.step / step
-    if stride.denominator != 1:
-        raise InvalidDistribution("target step does not refine the lattice")
-    k = stride.numerator
+def _rescale(d: LatticeDist, step: Fraction, k: int) -> LatticeDist:
+    """Re-embed d on the finer step d.step / k."""
     if k == 1:
         return d
     nums = [0] * ((len(d) - 1) * k + 1)
-    for i, n in enumerate(d.numerators):
-        nums[i * k] = n
+    nums[::k] = d.numerators
     return LatticeDist(d.origin, step, tuple(nums), d.denominator)
 
 

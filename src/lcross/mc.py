@@ -170,8 +170,9 @@ def _signed_table(magnitudes: List[int]) -> List[int]:
 
 def _scaled_int_values(d: DiscreteDist, level: Fraction) -> Tuple[List[int], int]:
     """Clear denominators jointly: integer step values and level numerator."""
-    den = lcm(level.denominator, *(v.denominator for v in d.values))
-    return [int(v * den) for v in d.values], int(level * den)
+    s = d._scaled
+    den = lcm(s.scale, level.denominator)
+    return [x * (den // s.scale) for x in s.values], level.numerator * (den // level.denominator)
 
 
 def _coerce_level(level: LevelLike) -> Fraction:

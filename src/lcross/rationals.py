@@ -7,11 +7,17 @@ enter an exact computation by accident.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Union
 
 RationalLike = Union[int, str, Fraction]
+
+# Fraction("1e999999999") would compute 10**999999999, so exponents beyond
+# Python's digit limit on integer strings (or its default, if off) are refused.
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)$")
 
 
 def as_rational(x: RationalLike) -> Fraction:
@@ -27,8 +33,13 @@ def as_rational(x: RationalLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        text = x.strip()
+        exponent = _EXPONENT.search(text)
         try:
-            return Fraction(x.strip())
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+            if exponent and abs(int(exponent[1])) > limit:
+                raise ValueError(f"exponent exceeds the limit of {limit} digits")
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse rational from {x!r}: {exc}") from exc
     raise TypeError(f"expected int, str or Fraction, got {type(x).__name__}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, ulp
@@ -92,65 +92,46 @@ def pair_abs_prob(d: DiscreteDist, c: RationalLike, mode: str) -> Fraction:
         raise ValueError(f"threshold must be nonnegative, got {c}")
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    values = d.values
-    prefix = [Fraction(0)]
-    for w in d.weights:
-        prefix.append(prefix[-1] + w)
-    total = Fraction(0)
-    for x, w in d.atoms:
-        if mode == "sum":
-            lo, hi = -c - x, c - x
-        else:
-            lo, hi = x - c, x + c
-        i = bisect_left(values, lo)
-        j = bisect_right(values, hi)
-        if j > i:
-            total += w * (prefix[j] - prefix[i])
-    return total
-
-
-def _pair_table(d: DiscreteDist, mode: str) -> Tuple[List[Fraction], List[Fraction]]:
-    """Sorted distinct pair values |x_i +- x_j| with cumulative weights."""
-    acc: dict[Fraction, Fraction] = {}
-    for x, wx in d.atoms:
-        for y, wy in d.atoms:
-            v = abs(x + y) if mode == "sum" else abs(x - y)
-            acc[v] = acc.get(v, Fraction(0)) + wx * wy
-    vals = sorted(acc)
-    cum = []
-    running = Fraction(0)
-    for v in vals:
-        running += acc[v]
-        cum.append(running)
-    return vals, cum
-
-
-def _cum_at(vals: List[Fraction], cum: List[Fraction], c: Fraction) -> Fraction:
-    i = bisect_right(vals, c)
-    return cum[i - 1] if i else Fraction(0)
+    s = d._scaled
+    # Scaled pair sums are integers, so |x +- y| <= c is |X +- Y| <= floor(c * scale):
+    # Y lies within k of -X for the sum and of X for the difference.
+    k = c.numerator * s.scale // c.denominator
+    sign = -1 if mode == "sum" else 1
+    total = sum(m * s.window(sign * x - k, sign * x + k) for x, m in zip(s.values, s.weights))
+    return Fraction(total, s.den * s.den)
 
 
 def ratio_scan(d: DiscreteDist) -> RatioReport:
     """Evaluate num, den, and their ratio at every breakpoint; report gamma."""
-    sum_vals, sum_cum = _pair_table(d, "sum")
-    diff_vals, diff_cum = _pair_table(d, "diff")
-    breakpoints = sorted(set(sum_vals) | set(diff_vals))
+    s = d._scaled
+    atoms = tuple(zip(s.values, s.weights))
+    # Scaled breakpoint -> [weight of |X+Y| there, weight of |X-Y| there].
+    table: dict[int, List[int]] = {}
+    for x, mx in atoms:
+        for y, my in atoms:
+            m = mx * my
+            table.setdefault(abs(x + y), [0, 0])[0] += m
+            table.setdefault(abs(x - y), [0, 0])[1] += m
+    total = s.den * s.den
     rows = []
-    for c in breakpoints:
-        num = _cum_at(sum_vals, sum_cum, c)
-        den = _cum_at(diff_vals, diff_cum, c)
+    num = den = 0
+    best_num, best_den, first = -1, 1, 0
+    for i, c_int in enumerate(sorted(table)):
+        num += table[c_int][0]
+        den += table[c_int][1]
+        c = Fraction(c_int, s.scale)
         if den <= 0:
             raise TheoremViolation(f"P(|X-Y| <= {c}) = 0, impossible for c >= 0")
-        ratio = num / den
-        if ratio >= 2:
-            raise TheoremViolation(f"ratio {ratio} >= 2 at c = {c}")
-        rows.append(RatioRow(c, num, den, ratio))
-    gamma = max(row.ratio for row in rows)
-    first = next(i for i, row in enumerate(rows) if row.ratio == gamma)
+        if num >= 2 * den:
+            raise TheoremViolation(f"ratio {Fraction(num, den)} >= 2 at c = {c}")
+        if num * best_den > best_num * den:
+            best_num, best_den, first = num, den, i
+        rows.append(RatioRow(c, Fraction(num, total), Fraction(den, total), Fraction(num, den)))
+    gamma = rows[first].ratio
     if first + 1 < len(rows):
-        argmax_c = (breakpoints[first] + breakpoints[first + 1]) / 2
+        argmax_c = (rows[first].c + rows[first + 1].c) / 2
     else:
-        argmax_c = max(breakpoints[first], Fraction(1))
+        argmax_c = max(rows[first].c, Fraction(1))
     return RatioReport(tuple(rows), gamma, argmax_c)
 
 

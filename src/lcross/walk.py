@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, sqrt
@@ -229,17 +228,9 @@ def concentration(d: DiscreteDist, lam: RationalLike) -> Fraction:
     lam = as_rational(lam)
     if lam < 0:
         raise ValueError(f"window width must be nonnegative, got {lam}")
-    values = d.values
-    prefix = [Fraction(0)]
-    for w in d.weights:
-        prefix.append(prefix[-1] + w)
-    best = Fraction(0)
-    for i, v in enumerate(values):
-        j = bisect_right(values, v + lam)
-        mass = prefix[j] - prefix[i]
-        if mass > best:
-            best = mass
-    return best
+    s = d._scaled
+    width = lam.numerator * s.scale // lam.denominator
+    return Fraction(max(s.window(x, x + width) for x in s.values), s.den)
 
 
 def expected_sign_changes(spec: WalkSpec) -> Fraction:

@@ -75,6 +75,10 @@ def test_crossing_rejects_bad_inputs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "atom 0" in err and '"w"' in err
     assert run(["crossing", "--dist", "rademacher", "--level", "x/y"]) == 2
+    capsys.readouterr()
+    assert run(["crossing", "--dist", "rademacher", "--level", "1e999999999"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot parse rational" in err and len(err.strip().splitlines()) == 1
 
 
 def test_uniform_builtin(capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from lcross import (
     DiscreteDist,
     InvalidDistribution,
     InvalidInterval,
+    ResourceLimit,
     abs_dist,
     convolve,
     from_json,
@@ -25,6 +27,7 @@ from lcross import (
     uniform_range,
 )
 from lcross.acceptance import _random_dist
+from lcross.rationals import as_rational
 
 
 def test_make_dist_merges_sorts_normalizes():
@@ -133,6 +136,43 @@ def test_interval_prob():
         interval_prob(d, 2, 1)
 
 
+def _brute_interval(d, lo, hi, lo_closed, hi_closed):
+    total = F(0)
+    for v, w in d.atoms:
+        above = lo is None or (lo <= v if lo_closed else lo < v)
+        below = hi is None or (v <= hi if hi_closed else v < hi)
+        if above and below:
+            total += w
+    return total
+
+
+def test_window_queries_match_brute_force():
+    rng = random.Random(71)
+    for _ in range(60):
+        d = _random_dist(rng, 8, span=12)
+        for _ in range(5):
+            lo = F(rng.randint(-40, 40), rng.randint(1, 7))
+            hi = lo + F(rng.randint(0, 40), rng.randint(1, 7))
+            for lo_closed in (True, False):
+                for hi_closed in (True, False):
+                    for a, b in ((lo, hi), (None, hi), (lo, None), (None, None)):
+                        expected = _brute_interval(d, a, b, lo_closed, hi_closed)
+                        assert interval_prob(d, a, b, lo_closed, hi_closed) == expected
+            off_grid = F(rng.randint(-40, 40), rng.randint(1, 7))
+            assert d.prob(off_grid) == sum((w for v, w in d.atoms if v == off_grid), F(0))
+        for v, w in d.atoms:
+            assert d.prob(v) == w
+
+
+def test_integer_form_is_lazy_and_invisible():
+    d = make_dist([(F(1, 2), 1), (F(-1, 3), 2)])
+    fresh = make_dist([(F(1, 2), 1), (F(-1, 3), 2)])
+    assert "_scaled" not in vars(d)
+    assert d.prob(F(1, 2)) == F(1, 3)
+    assert "_scaled" in vars(d)
+    assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+
+
 def test_to_lattice_worked_examples():
     lat = to_lattice(rademacher())
     assert (lat.origin, lat.step) == (F(-1), F(2))
@@ -157,6 +197,32 @@ def test_lattice_convolve_matches_dist_convolve():
         exact = convolve(a, b)
         fast = lattice_convolve(to_lattice(a), to_lattice(b)).to_dist()
         assert fast == exact
+
+
+def test_lattice_convolve_mixed_steps_respect_the_cap(monkeypatch):
+    monkeypatch.setenv("LCROSS_MAX_SUPPORT", "1000")
+    coarse = to_lattice(make_dist([(0, 1), (1, 1)]))
+    fine = to_lattice(make_dist([(0, 1), (F(1, 10**5), 1)]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match="100002 lattice sites"):
+            lattice_convolve(coarse, fine)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    half = to_lattice(make_dist([(0, 1), (F(1, 2), 1)]))
+    assert lattice_convolve(coarse, half).to_dist() == convolve(coarse.to_dist(), half.to_dist())
+
+
+def test_as_rational_refuses_runaway_exponents():
+    assert as_rational("1e-3") == F(1, 1000)
+    assert as_rational("2.5E2") == 250
+    for text in ("1e999999999", "1e-999999999"):
+        with pytest.raises(ValueError, match="cannot parse rational"):
+            as_rational(text)
+    with pytest.raises(InvalidDistribution, match="atom 0"):
+        from_json('{"atoms": [{"v": "1e999999999", "w": "1"}]}')
 
 
 def test_uniform_range():

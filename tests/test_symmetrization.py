@@ -47,8 +47,10 @@ def test_pair_abs_prob_matches_brute_force():
     for _ in range(40):
         d = _random_dist(rng, 8, span=12)
         c = F(rng.randint(0, 30), rng.randint(1, 4))
-        for mode in ("sum", "diff"):
-            assert pair_abs_prob(d, c, mode) == brute_pair_abs_prob(d, c, mode)
+        off_grid = F(rng.randint(0, 90), 7)
+        for threshold in (c, off_grid):
+            for mode in ("sum", "diff"):
+                assert pair_abs_prob(d, threshold, mode) == brute_pair_abs_prob(d, threshold, mode)
 
 
 def test_ratio_scan_worked_examples():

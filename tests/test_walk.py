@@ -150,6 +150,18 @@ def test_concentration_monotone_and_saturating():
         assert concentration(d, diameter) == 1
 
 
+def test_concentration_matches_brute_force():
+    rng = random.Random(72)
+    for _ in range(60):
+        d = _random_dist(rng, 8, span=12)
+        for _ in range(4):
+            lam = F(rng.randint(0, 40), rng.randint(1, 7))
+            expected = max(
+                sum((w for v, w in d.atoms if x <= v <= x + lam), F(0)) for x in d.values
+            )
+            assert concentration(d, lam) == expected
+
+
 def test_expected_sign_changes():
     assert expected_sign_changes(WalkSpec(step=rademacher(), horizon=2)) == F(3, 2)
     assert expected_sign_changes(WalkSpec(step=point_mass(0), horizon=10)) == 0
