@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, sqrt
+from math import comb, gcd, lcm, sqrt
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import dichotomy, mc, symmetrization, walk
@@ -33,7 +33,17 @@ class CriterionResult:
     limit_seconds: float
 
 
+@lru_cache(maxsize=None)
+def _distinct_values(span: int, max_den: int) -> int:
+    """Number of distinct Fraction(a, b) with |a| <= span and 1 <= b <= max_den."""
+    coprime = sum(gcd(a, b) == 1 for a in range(1, span + 1) for b in range(1, max_den + 1))
+    return 1 + 2 * coprime
+
+
 def _random_dist(rng: random.Random, max_atoms: int, span: int = 9, max_den: int = 4) -> DiscreteDist:
+    possible = _distinct_values(span, max_den)
+    if max_atoms > possible:
+        raise ValueError(f"cannot draw {max_atoms} distinct values from {possible} possible ones")
     k = rng.randint(1, max_atoms)
     values: set = set()
     while len(values) < k:
@@ -62,24 +72,29 @@ def _random_symmetric_matrix(rng: random.Random, n: int) -> List[List[Fraction]]
 
 
 def _enum_crossing_probs(step: DiscreteDist, level: Fraction, horizon: int) -> List[Fraction]:
-    """Brute-force crossing probabilities by full path enumeration."""
+    """Brute-force crossing probabilities by full path enumeration.
+
+    Values and the level are scaled by one lcm, so positions are ints.
+    """
     den = lcm(*(w.denominator for w in step.weights))
-    atoms = [(v, int(w * den)) for v, w in step.atoms]
+    scale = lcm(level.denominator, *(v.denominator for v in step.values))
+    atoms = [(int(v * scale), int(w * den)) for v, w in step.atoms]
+    target = int(level * scale)
     acc = [0] * (horizon + 1)
 
-    def rec(depth: int, pos: Fraction, weight: int, prev_sign: int) -> None:
+    def rec(depth: int, pos: int, weight: int, prev_sign: int) -> None:
         if depth == horizon:
             return
         for v, wn in atoms:
             pos2 = pos + v
-            sgn = (pos2 > level) - (pos2 < level)
+            sgn = (pos2 > target) - (pos2 < target)
             w2 = weight * wn
             if sgn != prev_sign:
                 acc[depth + 1] += w2
             rec(depth + 1, pos2, w2, sgn)
 
-    start_sign = (0 > level) - (0 < level)
-    rec(0, Fraction(0), 1, start_sign)
+    start_sign = (0 > target) - (0 < target)
+    rec(0, 0, 1, start_sign)
     return [Fraction(acc[n], den**n) for n in range(1, horizon + 1)]
 
 
@@ -162,7 +177,8 @@ def criterion_5() -> Tuple[bool, str]:
         d = _random_dist(rng, max_atoms=8, span=12, max_den=4)
         report = symmetrization.ratio_scan(d)
         for row in report.rows:
-            if row.num >= 2 * row.den:
+            num, den = row.num, row.den
+            if num.numerator * den.denominator >= 2 * den.numerator * num.denominator:
                 return False, f"ratio {row.ratio} >= 2 at c={row.c}"
             rows_checked += 1
     return True, f"{rows_checked} strict comparisons over 10000 laws, zero violations"

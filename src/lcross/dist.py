@@ -150,11 +150,14 @@ def lazy() -> DiscreteDist:
 
 
 def uniform_range(lo: int, hi: int) -> DiscreteDist:
-    """Uniform law on the integers lo..hi inclusive."""
+    """Uniform law on the integers lo..hi inclusive, at most `support_cap()` of them."""
     if not isinstance(lo, int) or not isinstance(hi, int):
         raise InvalidDistribution("uniform range endpoints must be integers")
     if lo > hi:
         raise InvalidDistribution(f"empty integer range {lo}..{hi}")
+    limit = support_cap()
+    if hi - lo + 1 > limit:
+        raise ResourceLimit(f"uniform range spans {hi - lo + 1} sites, over the cap of {limit}")
     return make_dist([(v, 1) for v in range(lo, hi + 1)])
 
 

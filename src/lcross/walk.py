@@ -4,7 +4,10 @@ The walk is S_n = X_1 + ... + X_n with i.i.d. steps from a finite rational
 law and S_0 = 0.  A crossing of level l at time n is the event
 sgn(S_n - l) != sgn(S_{n-1} - l) with the three-valued sign (sgn(0) = 0),
 so touching the level exactly counts.  All probabilities are exact; the
-only floats are the sqrt(n)-scaled display columns.
+only floats are the sqrt(n)-scaled display columns.  The scan keeps each
+marginal on the step law's lattice and answers the crossing and domination
+probabilities of every step as integer window sums over one prefix table of
+the previous marginal.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, sqrt
+from itertools import accumulate
+from math import lcm, sqrt
 from typing import Iterator, List, Optional, Tuple
 
 from .dist import DEFAULT_MAX_SUPPORT, MAX_SUPPORT_ENV, support_cap  # re-exported
@@ -120,73 +124,48 @@ def _flag_str(flag: Optional[bool]) -> str:
     return "true" if flag else "false"
 
 
-def _sign_thresholds(origin: Fraction, step: Fraction, level: Fraction) -> Tuple[int, Optional[int]]:
-    """Index cutoffs so that sgn(origin + i*step - level) is a pure int test.
+def _window(prefix: List[int], base: int, g: int, lo: int, hi: int) -> int:
+    """Weight numerator of the sites base + i*g in the closed window [lo, hi]."""
+    i = max(-((base - lo) // g), 0)
+    j = min((hi - base) // g, len(prefix) - 2)
+    return prefix[j + 1] - prefix[i] if j >= i else 0
 
-    Returns (neg_max, zero_idx): the sign is -1 for i <= neg_max, 0 for
-    i == zero_idx (None when the level is off-lattice), +1 otherwise.
+
+def _scan(spec: WalkSpec) -> Iterator[Tuple[int, Fraction, Fraction, LatticeDist]]:
+    """Yield (n, p_n, P(|S_{n-1}| <= |X_n|), marginal of S_n) for n = 1..horizon.
+
+    Positions are integers over `scale`, the lcm of the denominators of the
+    step lattice's origin and step and of the level: step site j sits at
+    x0 + j*g, the level at level_i and site i of S_{n-1} at (n-1)*x0 + i*g.
+    From x a step v != 0 changes the sign of x - level_i exactly when x lies
+    between level_i - v and level_i, ends included, and a step 0 never does;
+    so p_n and the domination bound are window masses of one prefix table.
     """
-    t = (level - origin) / step
-    f = floor(t)
-    if t == f:
-        return f - 1, f
-    return f, None
-
-
-def _crossing_fraction(prev: LatticeDist, step_lat: LatticeDist, level: Fraction) -> Fraction:
-    """Exact crossing probability for one step from the previous marginal."""
-    q = prev.step
-    neg_prev, zero_prev = _sign_thresholds(prev.origin, q, level)
-    neg_new, zero_new = _sign_thresholds(prev.origin + step_lat.origin, q, level)
-    step_atoms = [(j, m) for j, m in enumerate(step_lat.numerators) if m]
-    acc = 0
-    for i, m in enumerate(prev.numerators):
-        if not m:
-            continue
-        sp = -1 if i <= neg_prev else (0 if i == zero_prev else 1)
-        for j, mj in step_atoms:
-            t = i + j
-            sn = -1 if t <= neg_new else (0 if t == zero_new else 1)
-            if sn != sp:
-                acc += m * mj
-    return Fraction(acc, prev.denominator * step_lat.denominator)
-
-
-def _abs_window_mass(lat: LatticeDist, prefix: List[int], bound: Fraction) -> Fraction:
-    """Mass of [-bound, bound] under the lattice law, via a prefix-sum table."""
-    lo = ceil((-bound - lat.origin) / lat.step)
-    hi = floor((bound - lat.origin) / lat.step)
-    lo = max(lo, 0)
-    hi = min(hi, len(lat.numerators) - 1)
-    if hi < lo:
-        return Fraction(0)
-    return Fraction(prefix[hi + 1] - prefix[lo], lat.denominator)
-
-
-def _domination_fraction(prev: LatticeDist, step: DiscreteDist) -> Fraction:
-    """Exact P(|S_{n-1}| <= |X_n|) with X_n independent of the marginal."""
-    prefix = [0]
-    for m in prev.numerators:
-        prefix.append(prefix[-1] + m)
-    total = Fraction(0)
-    for v, w in step.atoms:
-        total += w * _abs_window_mass(prev, prefix, abs(v))
-    return total
-
-
-def _scan(spec: WalkSpec) -> Iterator[Tuple[int, Fraction, LatticeDist, LatticeDist]]:
-    """Yield (n, p_n, marginal of S_{n-1}, marginal of S_n) for n = 1..horizon."""
     limit = support_cap()
     step_lat = to_lattice(spec.step)
-    prev = LatticeDist(Fraction(0), step_lat.step, (1,), 1)
+    origin, step, level = step_lat.origin, step_lat.step, spec.level
+    scale = lcm(origin.denominator, step.denominator, level.denominator)
+    x0 = origin.numerator * (scale // origin.denominator)
+    g = step.numerator * (scale // step.denominator)
+    level_i = level.numerator * (scale // level.denominator)
+    atoms = [(x0 + j * g, m) for j, m in enumerate(step_lat.numerators) if m]
+    prev = LatticeDist(Fraction(0), step, (1,), 1)
     for n in range(1, spec.horizon + 1):
         if len(prev) + len(step_lat) - 1 > limit:
             raise ResourceLimit(
                 f"marginal support at n={n} exceeds the cap of {limit} lattice sites"
             )
-        p = _crossing_fraction(prev, step_lat, spec.level)
+        prefix = [0, *accumulate(prev.numerators)]
+        base = (n - 1) * x0
+        cross = dom = 0
+        for v, m in atoms:
+            if v:
+                lo, hi = (level_i - v, level_i) if v > 0 else (level_i, level_i - v)
+                cross += m * _window(prefix, base, g, lo, hi)
+            dom += m * _window(prefix, base, g, -abs(v), abs(v))
+        den = prev.denominator * step_lat.denominator
         cur = lattice_convolve(prev, step_lat)
-        yield n, p, prev, cur
+        yield n, Fraction(cross, den), Fraction(dom, den), cur
         prev = cur
 
 
@@ -213,9 +192,9 @@ def dominated_crossing_bound(spec: WalkSpec, n: int) -> Fraction:
         raise ValueError(f"n must be an integer >= 2, got {n}")
     if n > spec.horizon:
         raise ValueError(f"n must be at most the horizon {spec.horizon}, got {n}")
-    for m, _, prev, _ in _scan(spec):
+    for m, _, dom, _ in _scan(spec):
         if m == n:
-            return _domination_fraction(prev, spec.step)
+            return dom
     raise AssertionError("unreachable")
 
 
@@ -254,7 +233,7 @@ def crossing_table(spec: WalkSpec) -> CrossingReport:
     p_zero_step = spec.step.prob(0)
     p_zero_pow = Fraction(1)
     rows = []
-    for n, p, prev, cur in _scan(spec):
+    for n, p, dom, cur in _scan(spec):
         atom_at_level = cur.prob(spec.level)
         zero_mass = cur.prob(0)
         scaled = sqrt(n) * float(p)
@@ -267,7 +246,7 @@ def crossing_table(spec: WalkSpec) -> CrossingReport:
             slack = p - 2 * zero_mass
             chain_ok = slack <= 0 or n * slack * slack <= 4
         if at_zero_level and n >= 2:
-            dom_ok = p <= _domination_fraction(prev, spec.step)
+            dom_ok = p <= dom
         rows.append(
             CrossingRow(n, p, atom_at_level, zero_mass, scaled, lower_ok, chain_ok, dom_ok)
         )

@@ -10,6 +10,10 @@ the one it implies, and the decreasing trend must appear at K = 1024, where
 64 draws rarely reach the cutoff.
 """
 
+import random
+
+import pytest
+
 from lcross import acceptance, factorial_heavy, mc_top_two_tie, top_two_tie_prob
 from lcross.acceptance import (
     CROSSING_NS,
@@ -17,6 +21,7 @@ from lcross.acceptance import (
     TREND_SAMPLES,
     TREND_SEED,
     TREND_TRUNC,
+    _random_dist,
     heavy_tail_trends,
     run_criterion,
 )
@@ -139,3 +144,10 @@ def test_check_seconds_cover_their_own_work(monkeypatch):
         acceptance._symmetric_reports.cache_clear()
         acceptance.heavy_tail_trends.cache_clear()
     assert cached == [(0, 0)]
+
+
+def test_random_dist_refuses_more_atoms_than_values():
+    # span 1 and denominator 1 allow only -1, 0 and 1.
+    with pytest.raises(ValueError, match="cannot draw 10 distinct values from 3"):
+        _random_dist(random.Random(5), 10, span=1, max_den=1)
+    assert set(_random_dist(random.Random(5), 3, span=1, max_den=1).values) <= {-1, 0, 1}

@@ -79,6 +79,9 @@ def test_crossing_rejects_bad_inputs(tmp_path, capsys):
     assert run(["crossing", "--dist", "rademacher", "--level", "1e999999999"]) == 2
     err = capsys.readouterr().err
     assert "cannot parse rational" in err and len(err.strip().splitlines()) == 1
+    assert run(["crossing", "--dist", "uniform{0..1000000000000}", "--horizon", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "over the cap" in err and len(err.strip().splitlines()) == 1
 
 
 def test_uniform_builtin(capsys):

@@ -18,6 +18,7 @@ from lcross import (
     negate,
     point_mass,
     rademacher,
+    uniform_range,
     walk_marginals,
 )
 from lcross.acceptance import _enum_crossing_probs, _random_dist, _random_symmetric_dist
@@ -74,9 +75,22 @@ def test_crossing_table_degenerate_and_asymmetric():
 
 def test_crossing_matches_path_enumeration():
     rng = random.Random(21)
+    cases = []
     for _ in range(15):
         step = _random_dist(rng, 4, span=4, max_den=3)
-        level = F(rng.randint(-3, 3), rng.randint(1, 2))
+        cases.append((step, F(rng.randint(-3, 3), rng.randint(1, 2))))
+    skew = make_dist([(-1, 2), (2, 3)])
+    cases += [
+        (skew, F(-20)),  # level below every reachable position
+        (skew, F(20)),  # level above every reachable position
+        (skew, F(2)),  # level on an atom of the support
+        (make_dist([(F(1, 2), 1), (F(3, 2), 1)]), F(2, 7)),  # off-lattice level
+        (make_dist([(-1, 1), (0, 2), (2, 1)]), F(1)),  # atom at 0, level on a site
+        (make_dist([(F(-5, 3), 1), (F(1, 3), 2)]), F(-1)),  # origin not a step multiple
+        (point_mass(F(-3, 2)), F(-3)),  # point mass that lands on the level
+        (point_mass(0), F(0)),
+    ]
+    for step, level in cases:
         report = crossing_table(WalkSpec(step=step, level=level, horizon=6))
         oracle = _enum_crossing_probs(step, level, 6)
         assert [row.p for row in report.rows] == oracle
@@ -119,14 +133,16 @@ def test_domination_bound_brute_force():
     rng = random.Random(24)
     for _ in range(10):
         step = _random_dist(rng, 4, span=3)
-        spec = WalkSpec(step=step, level=F(0), horizon=3)
-        prev = walk_marginals(spec)[1]
-        expected = F(0)
-        for s, ws in prev.atoms:
-            for x, wx in step.atoms:
-                if abs(s) <= abs(x):
-                    expected += ws * wx
-        assert dominated_crossing_bound(spec, 3) == expected
+        spec = WalkSpec(step=step, level=F(0), horizon=5)
+        rows = crossing_table(spec).rows
+        for n, prev in enumerate(walk_marginals(spec)[:-1], start=2):
+            expected = F(0)
+            for s, ws in prev.atoms:
+                for x, wx in step.atoms:
+                    if abs(s) <= abs(x):
+                        expected += ws * wx
+            assert dominated_crossing_bound(spec, n) == expected
+            assert rows[n - 1].domination_ok == (rows[n - 1].p <= expected)
 
 
 def test_concentration():
@@ -185,6 +201,8 @@ def test_resource_cap(monkeypatch):
     try:
         with pytest.raises(ResourceLimit, match="10000001 lattice sites"):
             crossing_table(WalkSpec(step=wide, horizon=1))
+        with pytest.raises(ResourceLimit, match="1000000000001 sites"):
+            uniform_range(0, 10**12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
