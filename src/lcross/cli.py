@@ -1,8 +1,9 @@
 """Command-line driver: crossing tables, ratio scans, dichotomy checks, MC runs.
 
 Exit codes: 0 on success, 1 when a verified bound fails or an internal
-invariant is violated, 2 on usage or input errors.  Rationals cross the
-boundary as strings like "3/8"; only Monte-Carlo outputs are floats.
+invariant is violated, 2 on usage or input errors, and on inputs too large
+for memory.  Rationals cross the boundary as strings like "3/8"; only
+Monte-Carlo outputs are floats.
 """
 
 from __future__ import annotations
@@ -218,6 +219,9 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -2,7 +2,7 @@
 
 A law is a finite set of (value, weight) pairs with positive rational
 weights summing to one.  Everything here is exact: no floats are created
-or accepted.  Window and pair queries read each law's cached integer form,
+or accepted.  Queries and convolutions read each law's cached integer form,
 values and weights over the lcms of their denominators.  The lattice form
 embeds a law into an arithmetic progression with integer weight numerators
 over one common denominator, the representation for iterated convolution.
@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Tuple
 
 from .errors import InvalidDistribution, InvalidInterval, ResourceLimit
-from .rationals import RationalLike, as_rational, format_rational, rational_gcd
+from .rationals import RationalLike, as_rational, format_rational
 
 Atom = Tuple[Fraction, Fraction]
 
@@ -167,14 +167,20 @@ def negate(d: DiscreteDist) -> DiscreteDist:
 
 
 def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
-    """Law of X + Y for independent X ~ a, Y ~ b."""
-    acc: dict[Fraction, Fraction] = {}
-    for va, wa in a.atoms:
-        for vb, wb in b.atoms:
-            v = va + vb
-            acc[v] = acc.get(v, Fraction(0)) + wa * wb
+    """Law of X + Y for independent X ~ a, Y ~ b, summed in integers over one value scale."""
+    sa, sb = a._scaled, b._scaled
+    scale = lcm(sa.scale, sb.scale)
+    ka, kb = scale // sa.scale, scale // sb.scale
+    ys = [(y * kb, w) for y, w in zip(sb.values, sb.weights)]
+    acc: dict[int, int] = {}
+    for x, m in zip(sa.values, sa.weights):
+        x *= ka
+        for y, w in ys:
+            v = x + y
+            acc[v] = acc.get(v, 0) + m * w
+    den = sa.den * sb.den
     atoms = sorted(acc.items())
-    return DiscreteDist(tuple(atoms))
+    return DiscreteDist(tuple((Fraction(v, scale), Fraction(w, den)) for v, w in atoms))
 
 
 def symmetrize(d: DiscreteDist) -> DiscreteDist:
@@ -284,7 +290,7 @@ def to_lattice(d: DiscreteDist) -> LatticeDist:
     size = (s.values[-1] - x0) // g + 1
     limit = support_cap()
     if size > limit:
-        raise ResourceLimit(f"step law spans {size} lattice sites, over the cap of {limit}")
+        raise ResourceLimit(f"law spans {size} lattice sites, over the cap of {limit}")
     nums = [0] * size
     for x, m in zip(s.values, s.weights):
         nums[(x - x0) // g] = m
@@ -294,35 +300,19 @@ def to_lattice(d: DiscreteDist) -> LatticeDist:
 def lattice_convolve(a: LatticeDist, b: LatticeDist) -> LatticeDist:
     """Exact convolution of two lattice laws.
 
-    Laws on different steps are first re-embedded on the gcd step.  The
-    result keeps the common step even if its support happens to be coarser.
+    On one step, each nonzero site of b adds a shifted, scaled copy of a's
+    numerators.  Laws on different steps are convolved as finite laws and
+    embedded by `to_lattice`, so the result sits on the coarsest step of
+    its support and one above `support_cap()` sites raises ResourceLimit.
     """
     if a.step != b.step:
-        g = rational_gcd(a.step, b.step)
-        stride_a, stride_b = (a.step / g).numerator, (b.step / g).numerator
-        size = (len(a) - 1) * stride_a + (len(b) - 1) * stride_b + 1
-        limit = support_cap()
-        if size > limit:
-            raise ResourceLimit(f"convolution spans {size} lattice sites, over the cap of {limit}")
-        a = _rescale(a, g, stride_a)
-        b = _rescale(b, g, stride_b)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, na in enumerate(a.numerators):
-        if not na:
-            continue
-        for j, nb in enumerate(b.numerators):
-            if nb:
-                out[i + j] += na * nb
+        return to_lattice(convolve(a.to_dist(), b.to_dist()))
+    k = len(a)
+    out = [0] * (k + len(b) - 1)
+    for j, m in enumerate(b.numerators):
+        if m:
+            out[j : j + k] = [o + m * x for o, x in zip(out[j : j + k], a.numerators)]
     return LatticeDist(a.origin + b.origin, a.step, tuple(out), a.denominator * b.denominator)
-
-
-def _rescale(d: LatticeDist, step: Fraction, k: int) -> LatticeDist:
-    """Re-embed d on the finer step d.step / k."""
-    if k == 1:
-        return d
-    nums = [0] * ((len(d) - 1) * k + 1)
-    nums[::k] = d.numerators
-    return LatticeDist(d.origin, step, tuple(nums), d.denominator)
 
 
 def dist_to_json_dict(d: DiscreteDist) -> dict:

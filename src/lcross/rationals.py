@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import gcd
 from typing import Union
 
 RationalLike = Union[int, str, Fraction]
@@ -52,9 +51,3 @@ def format_rational(q: Fraction) -> str:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
-
-def rational_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """Largest rational g with a/g and b/g both integers (gcd(x, 0) = |x|)."""
-    a, b = Fraction(a), Fraction(b)
-    num = gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    return Fraction(num, a.denominator * b.denominator)

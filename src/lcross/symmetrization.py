@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import exp, ulp
 from typing import List, Tuple
 
-from .dist import DiscreteDist, make_dist
-from .errors import InvalidThreshold, TheoremViolation
+from .dist import DiscreteDist, make_dist, support_cap
+from .errors import InvalidThreshold, ResourceLimit, TheoremViolation
 from .rationals import RationalLike, as_rational, format_rational
 
 _MODES = ("sum", "diff")
@@ -139,9 +139,13 @@ def optimality_family(n: int) -> DiscreteDist:
     """Uniform law on {-2n+1, -2n+3, ..., -1} and {2, 4, ..., 2n}.
 
     Its ratio at c = 3/2 is at least 2(1 - 1/n), approaching the constant 2.
+    More than `support_cap()` atoms raise ResourceLimit before any is built.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    limit = support_cap()
+    if 2 * n > limit:
+        raise ResourceLimit(f"optimality family has {2 * n} atoms, over the cap of {limit}")
     values = list(range(-2 * n + 1, 0, 2)) + list(range(2, 2 * n + 1, 2))
     return make_dist([(v, 1) for v in values])
 

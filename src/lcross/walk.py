@@ -143,6 +143,13 @@ def _scan(spec: WalkSpec) -> Iterator[Tuple[int, Fraction, Fraction, LatticeDist
     """
     limit = support_cap()
     step_lat = to_lattice(spec.step)
+    width = len(step_lat) - 1
+    if spec.horizon * width + 1 > limit:
+        # S_n spans n*width + 1 sites; name the first n over the cap.
+        raise ResourceLimit(
+            f"marginal support at n={(limit - 1) // width + 1} exceeds the cap of "
+            f"{limit} lattice sites"
+        )
     origin, step, level = step_lat.origin, step_lat.step, spec.level
     scale = lcm(origin.denominator, step.denominator, level.denominator)
     x0 = origin.numerator * (scale // origin.denominator)
@@ -151,10 +158,6 @@ def _scan(spec: WalkSpec) -> Iterator[Tuple[int, Fraction, Fraction, LatticeDist
     atoms = [(x0 + j * g, m) for j, m in enumerate(step_lat.numerators) if m]
     prev = LatticeDist(Fraction(0), step, (1,), 1)
     for n in range(1, spec.horizon + 1):
-        if len(prev) + len(step_lat) - 1 > limit:
-            raise ResourceLimit(
-                f"marginal support at n={n} exceeds the cap of {limit} lattice sites"
-            )
         prefix = [0, *accumulate(prev.numerators)]
         base = (n - 1) * x0
         cross = dom = 0

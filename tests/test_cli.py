@@ -1,6 +1,12 @@
+import io
 import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lcross.acceptance as acceptance
 from lcross.acceptance import CriterionResult
@@ -82,6 +88,9 @@ def test_crossing_rejects_bad_inputs(tmp_path, capsys):
     assert run(["crossing", "--dist", "uniform{0..1000000000000}", "--horizon", "2"]) == 2
     err = capsys.readouterr().err
     assert "over the cap" in err and len(err.strip().splitlines()) == 1
+    assert run(["crossing", "--dist", "rademacher", "--horizon", "100000000"]) == 2
+    err = capsys.readouterr().err
+    assert "n=1000000 exceeds the cap" in err and len(err.strip().splitlines()) == 1
 
 
 def test_uniform_builtin(capsys):
@@ -94,6 +103,13 @@ def test_ratio_family_summary(capsys):
     assert run(["ratio", "--family-n", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"gamma": "3/2", "argmax_c": "3/2"}
+
+
+def test_ratio_family_over_the_cap(capsys):
+    assert run(["ratio", "--family-n", "1000000000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: optimality family has 2000000000 atoms, over the cap of 1000000\n"
+    )
 
 
 def test_ratio_table_and_exclusivity(capsys):
@@ -231,6 +247,73 @@ def test_mc_usage_errors(capsys):
     capsys.readouterr()
     assert run(["mc", "--estimand", "nonsense", "--sampler", "rademacher", "--n", "2"]) == 2
     capsys.readouterr()
+
+
+def test_mc_out_of_memory_is_an_input_error(capsys):
+    # Each sample block needs petabytes, so its allocation fails at once.
+    for argv in (
+        ["mc", "--sampler", "rademacher", "--n", "3", "--samples", "1000000000000000"],
+        [
+            "mc",
+            "--estimand",
+            "sign-changes",
+            "--sampler",
+            "gaussian",
+            "--n",
+            "1000000000000000",
+            "--samples",
+            "100",
+        ],
+    ):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and len(err.splitlines()) == 1
+
+
+_LAWS = st.sampled_from(["rademacher", "lazy", "uniform{-3..3}"])
+_SAMPLERS = st.sampled_from(["rademacher", "lazy", "gaussian", "cauchy", "factorial_heavy"])
+_ESTIMANDS = st.sampled_from(["crossing", "sign-changes", "top-two-tie"])
+_HUGE = st.integers(10**15, 10**40)
+
+# Arguments that must be refused before any work starts under a cap of 1000.
+_OVERSIZED = st.one_of(
+    st.builds(
+        lambda d, h: ["crossing", "--dist", d, "--horizon", h], _LAWS, st.integers(1001, 10**40)
+    ),
+    st.builds(lambda n: ["ratio", "--family-n", n], st.integers(501, 10**40)),
+    st.builds(
+        lambda lo, k: ["crossing", "--dist", f"uniform{{{lo}..{lo + k}}}"],
+        st.integers(-(10**12), 10**12),
+        st.integers(1000, 10**40),
+    ),
+    st.builds(
+        lambda e, s, n, m: ["mc", "--estimand", e, "--sampler", s, "--n", n, "--samples", m],
+        _ESTIMANDS,
+        _SAMPLERS,
+        st.integers(2, 16),
+        _HUGE,
+    ),
+    st.builds(
+        lambda e, s, n: ["mc", "--estimand", e, "--sampler", s, "--n", n, "--samples", 100],
+        _ESTIMANDS,
+        _SAMPLERS,
+        _HUGE,
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_OVERSIZED)
+def test_oversized_arguments_exit_2_with_one_line(argv):
+    argv = [str(a) for a in argv]
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, {"LCROSS_MAX_SUPPORT": "1000"}):
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = run(argv)
+    assert code == 2, argv
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err.getvalue()
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -10,6 +10,7 @@ from lcross import (
     DiscreteDist,
     InvalidDistribution,
     InvalidInterval,
+    LatticeDist,
     ResourceLimit,
     abs_dist,
     convolve,
@@ -190,6 +191,12 @@ def test_lattice_round_trip_on_random_laws():
         assert to_lattice(d).to_dist() == d
 
 
+def _random_lattice(rng, step):
+    nums = [rng.choice((0, 0, 1, 3)) for _ in range(rng.randint(1, 9))]
+    nums[0], nums[-1] = rng.randint(1, 4), rng.randint(1, 4)
+    return LatticeDist(F(rng.randint(-9, 9), rng.randint(1, 4)), step, tuple(nums), sum(nums))
+
+
 def test_lattice_convolve_matches_dist_convolve():
     rng = random.Random(9)
     for _ in range(20):
@@ -197,6 +204,22 @@ def test_lattice_convolve_matches_dist_convolve():
         exact = convolve(a, b)
         fast = lattice_convolve(to_lattice(a), to_lattice(b)).to_dist()
         assert fast == exact
+    # Same step, interior zeros included: the shifted-add kernel against a
+    # brute-force pair table, keeping the common step and the full span.
+    for _ in range(40):
+        step = F(rng.randint(1, 5), rng.randint(1, 4))
+        a = _random_lattice(rng, step)
+        for b in (_random_lattice(rng, step), a):
+            table: dict = {}
+            for i, na in enumerate(a.numerators):
+                for j, nb in enumerate(b.numerators):
+                    if na and nb:
+                        v = a.value(i) + b.value(j)
+                        table[v] = table.get(v, F(0)) + F(na * nb, a.denominator * b.denominator)
+            out = lattice_convolve(a, b)
+            assert out.to_dist().atoms == tuple(sorted(table.items()))
+            assert (out.origin, out.step) == (a.origin + b.origin, step)
+            assert len(out) == len(a) + len(b) - 1
 
 
 def test_lattice_convolve_mixed_steps_respect_the_cap(monkeypatch):
@@ -213,6 +236,12 @@ def test_lattice_convolve_mixed_steps_respect_the_cap(monkeypatch):
     assert peak < 1_000_000
     half = to_lattice(make_dist([(0, 1), (F(1, 2), 1)]))
     assert lattice_convolve(coarse, half).to_dist() == convolve(coarse.to_dist(), half.to_dist())
+    # Mixed steps land on the coarsest step of the result's support.
+    out = lattice_convolve(LatticeDist(F(5), F(1, 3), (1,), 1), half)
+    assert (out.origin, out.step, len(out)) == (F(5), F(1, 2), 2)
+    gapped = LatticeDist(F(0), F(1), (1, 0, 1), 2)
+    out = lattice_convolve(gapped, LatticeDist(F(0), F(2), (1, 1), 2))
+    assert (out.step, out.numerators, out.denominator) == (F(2), (1, 2, 1), 4)
 
 
 def test_as_rational_refuses_runaway_exponents():

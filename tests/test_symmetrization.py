@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 from math import exp
 
@@ -6,6 +7,7 @@ import pytest
 
 from lcross import (
     InvalidThreshold,
+    ResourceLimit,
     adversarial_search,
     make_dist,
     optimality_family,
@@ -40,6 +42,21 @@ def test_pair_abs_prob_worked_examples():
         pair_abs_prob(r, -1, "sum")
     with pytest.raises(ValueError):
         pair_abs_prob(r, 1, "product")
+
+
+def test_optimality_family_respects_the_cap(monkeypatch):
+    monkeypatch.setenv("LCROSS_MAX_SUPPORT", "1000")
+    assert len(optimality_family(500)) == 1000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match="1002 atoms, over the cap of 1000"):
+            optimality_family(501)
+        with pytest.raises(ResourceLimit, match="over the cap"):
+            optimality_family(10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_pair_abs_prob_matches_brute_force():

@@ -193,8 +193,12 @@ def test_walk_spec_validation():
 
 def test_resource_cap(monkeypatch):
     monkeypatch.setenv("LCROSS_MAX_SUPPORT", "10")
-    with pytest.raises(ResourceLimit):
-        crossing_table(WalkSpec(step=rademacher(), horizon=64))
+    # Refused up front at the first n whose marginal spans more sites than the cap.
+    cases = ((rademacher(), 64, 10), (rademacher(), 10, 10), (uniform_range(0, 3), 4, 4))
+    for step, horizon, first in cases:
+        with pytest.raises(ResourceLimit, match=f"n={first} "):
+            crossing_table(WalkSpec(step=step, horizon=horizon))
+        assert len(walk_marginals(WalkSpec(step=step, horizon=first - 1))[-1]) <= 10
     monkeypatch.setenv("LCROSS_MAX_SUPPORT", "1000")
     wide = make_dist([(0, 1), (1, 1), (10**7, 1)])
     tracemalloc.start()
@@ -203,6 +207,11 @@ def test_resource_cap(monkeypatch):
             crossing_table(WalkSpec(step=wide, horizon=1))
         with pytest.raises(ResourceLimit, match="1000000000001 sites"):
             uniform_range(0, 10**12)
+        huge = WalkSpec(step=rademacher(), horizon=10**8)
+        with pytest.raises(ResourceLimit, match="n=1000 exceeds the cap of 1000"):
+            crossing_table(huge)
+        with pytest.raises(ResourceLimit, match="n=1000 "):
+            crossing_prob(huge, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
