@@ -112,6 +112,13 @@ class DiscreteDist:
         return self == negate(self)
 
 
+def _exact(atoms: Tuple[Atom, ...]) -> DiscreteDist:
+    """A law from atoms a kernel built sorted, positive and summing to one, not re-validated."""
+    d = object.__new__(DiscreteDist)
+    object.__setattr__(d, "atoms", atoms)
+    return d
+
+
 def make_dist(pairs: Iterable[Tuple[RationalLike, RationalLike]]) -> DiscreteDist:
     """Build a law from (value, weight) pairs.
 
@@ -158,12 +165,13 @@ def uniform_range(lo: int, hi: int) -> DiscreteDist:
     limit = support_cap()
     if hi - lo + 1 > limit:
         raise ResourceLimit(f"uniform range spans {hi - lo + 1} sites, over the cap of {limit}")
-    return make_dist([(v, 1) for v in range(lo, hi + 1)])
+    w = Fraction(1, hi - lo + 1)
+    return _exact(tuple((Fraction(v), w) for v in range(lo, hi + 1)))
 
 
 def negate(d: DiscreteDist) -> DiscreteDist:
     """Law of -X."""
-    return DiscreteDist(tuple((-v, w) for v, w in reversed(d.atoms)))
+    return _exact(tuple((-v, w) for v, w in reversed(d.atoms)))
 
 
 def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
@@ -180,7 +188,7 @@ def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
             acc[v] = acc.get(v, 0) + m * w
     den = sa.den * sb.den
     atoms = sorted(acc.items())
-    return DiscreteDist(tuple((Fraction(v, scale), Fraction(w, den)) for v, w in atoms))
+    return _exact(tuple((Fraction(v, scale), Fraction(w, den)) for v, w in atoms))
 
 
 def symmetrize(d: DiscreteDist) -> DiscreteDist:
@@ -269,12 +277,16 @@ class LatticeDist:
         return Fraction(0)
 
     def to_dist(self) -> DiscreteDist:
-        atoms = tuple(
-            (self.origin + i * self.step, Fraction(n, self.denominator))
-            for i, n in enumerate(self.numerators)
-            if n
-        )
-        return DiscreteDist(atoms)
+        scale = lcm(self.origin.denominator, self.step.denominator)
+        x0, g, den = int(self.origin * scale), int(self.step * scale), self.denominator
+        atoms = enumerate(self.numerators)
+        return _exact(tuple((Fraction(x0 + i * g, scale), Fraction(n, den)) for i, n in atoms if n))
+
+
+def _check_sites(size: int) -> None:
+    limit = support_cap()
+    if size > limit:
+        raise ResourceLimit(f"law spans {size} lattice sites, over the cap of {limit}")
 
 
 def to_lattice(d: DiscreteDist) -> LatticeDist:
@@ -288,13 +300,23 @@ def to_lattice(d: DiscreteDist) -> LatticeDist:
     x0 = s.values[0]
     g = gcd(*(x - x0 for x in s.values)) or s.scale
     size = (s.values[-1] - x0) // g + 1
-    limit = support_cap()
-    if size > limit:
-        raise ResourceLimit(f"law spans {size} lattice sites, over the cap of {limit}")
+    _check_sites(size)
     nums = [0] * size
     for x, m in zip(s.values, s.weights):
         nums[(x - x0) // g] = m
     return LatticeDist(d.atoms[0][0], Fraction(g, s.scale), tuple(nums), s.den)
+
+
+def _shift_add(a, off: int, b, lo: int, hi: int) -> list:
+    """Sites lo..hi of a, on sites off, off + 1, ..., convolved with b, on sites 0, 1, ..."""
+    out = [0] * (hi - lo + 1)
+    for j, m in enumerate(b):
+        if m:
+            s = off + j - lo
+            t0, t1 = max(-s, 0), min(len(a), len(out) - s)
+            if t0 < t1:
+                out[s + t0 : s + t1] = [o + m * x for o, x in zip(out[s + t0 : s + t1], a[t0:t1])]
+    return out
 
 
 def lattice_convolve(a: LatticeDist, b: LatticeDist) -> LatticeDist:
@@ -302,16 +324,19 @@ def lattice_convolve(a: LatticeDist, b: LatticeDist) -> LatticeDist:
 
     On one step, each nonzero site of b adds a shifted, scaled copy of a's
     numerators.  Laws on different steps are convolved as finite laws and
-    embedded by `to_lattice`, so the result sits on the coarsest step of
-    its support and one above `support_cap()` sites raises ResourceLimit.
+    embedded by `to_lattice` on the coarsest step of the result's support,
+    the gcd of the two supports' steps; one above `support_cap()` sites
+    raises ResourceLimit before any pair is formed.
     """
     if a.step != b.step:
+        scale = lcm(a.step.denominator, b.step.denominator)
+        ga, gb = int(a.step * scale), int(b.step * scale)
+        offsets = [i * ga for i, m in enumerate(a.numerators) if m]
+        offsets += [j * gb for j, m in enumerate(b.numerators) if m]
+        g = gcd(*offsets)
+        _check_sites(((len(a) - 1) * ga + (len(b) - 1) * gb) // g + 1 if g else 1)
         return to_lattice(convolve(a.to_dist(), b.to_dist()))
-    k = len(a)
-    out = [0] * (k + len(b) - 1)
-    for j, m in enumerate(b.numerators):
-        if m:
-            out[j : j + k] = [o + m * x for o, x in zip(out[j : j + k], a.numerators)]
+    out = _shift_add(a.numerators, 0, b.numerators, 0, len(a) + len(b) - 2)
     return LatticeDist(a.origin + b.origin, a.step, tuple(out), a.denominator * b.denominator)
 
 

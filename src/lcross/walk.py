@@ -5,7 +5,8 @@ law and S_0 = 0.  A crossing of level l at time n is the event
 sgn(S_n - l) != sgn(S_{n-1} - l) with the three-valued sign (sgn(0) = 0),
 so touching the level exactly counts.  All probabilities are exact; the
 only floats are the sqrt(n)-scaled display columns.  The scan keeps each
-marginal on the step law's lattice and answers the crossing and domination
+marginal on the step law's lattice, only at the sites from which a later
+window can still be reached, and answers the crossing and domination
 probabilities of every step as integer window sums over one prefix table of
 the previous marginal.
 """
@@ -16,12 +17,12 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import lcm, sqrt
 from typing import Iterator, List, Optional, Tuple
 
 from .dist import DEFAULT_MAX_SUPPORT, MAX_SUPPORT_ENV, support_cap  # re-exported
-from .dist import DiscreteDist, LatticeDist, lattice_convolve, to_lattice
+from .dist import DiscreteDist, LatticeDist, _shift_add, lattice_convolve, to_lattice
 from .errors import NotApplicable, ResourceLimit
 from .rationals import RationalLike, as_rational, format_rational
 
@@ -131,16 +132,8 @@ def _window(prefix: List[int], base: int, g: int, lo: int, hi: int) -> int:
     return prefix[j + 1] - prefix[i] if j >= i else 0
 
 
-def _scan(spec: WalkSpec) -> Iterator[Tuple[int, Fraction, Fraction, LatticeDist]]:
-    """Yield (n, p_n, P(|S_{n-1}| <= |X_n|), marginal of S_n) for n = 1..horizon.
-
-    Positions are integers over `scale`, the lcm of the denominators of the
-    step lattice's origin and step and of the level: step site j sits at
-    x0 + j*g, the level at level_i and site i of S_{n-1} at (n-1)*x0 + i*g.
-    From x a step v != 0 changes the sign of x - level_i exactly when x lies
-    between level_i - v and level_i, ends included, and a step 0 never does;
-    so p_n and the domination bound are window masses of one prefix table.
-    """
+def _step_lattice(spec: WalkSpec) -> LatticeDist:
+    """The step law's lattice; refused up front when S_horizon spans more sites than the cap."""
     limit = support_cap()
     step_lat = to_lattice(spec.step)
     width = len(step_lat) - 1
@@ -150,41 +143,54 @@ def _scan(spec: WalkSpec) -> Iterator[Tuple[int, Fraction, Fraction, LatticeDist
             f"marginal support at n={(limit - 1) // width + 1} exceeds the cap of "
             f"{limit} lattice sites"
         )
-    origin, step, level = step_lat.origin, step_lat.step, spec.level
-    scale = lcm(origin.denominator, step.denominator, level.denominator)
-    x0 = origin.numerator * (scale // origin.denominator)
-    g = step.numerator * (scale // step.denominator)
-    level_i = level.numerator * (scale // level.denominator)
+    return step_lat
+
+
+def _scan(step_lat: LatticeDist, level: Fraction, last: int) -> Iterator[Tuple[int, ...]]:
+    """Yield (n, den, cross, dom, at_level, at_zero) for n = 1..last, numerators over den = D^n.
+
+    cross and dom give p_n and P(|S_{n-1}| <= |X_n|), at_level and at_zero
+    S_n's masses at the level and at 0.  Positions are integers over `scale`:
+    step site j at x0 + j*g, the level at l, site i of S_n at n*x0 + i*g.  A
+    step v != 0 changes the sign of x - l exactly when x lies between l - v
+    and l, ends included, so p_n and the domination bound are masses of
+    S_{n-1} in windows inside Q, the hull of them, l and 0.  S_n is kept only
+    on R_n, Q widened by what last - n more steps can cover: R_n - [x0, v_max]
+    lies in R_{n-1}, so the shifted adds restricted to R_n are exact there.
+    """
+    scale = lcm(step_lat.origin.denominator, step_lat.step.denominator, level.denominator)
+    x0, g, l = (int(q * scale) for q in (step_lat.origin, step_lat.step, level))
+    width = len(step_lat) - 1
+    v_max = x0 + width * g
+    reach = max(v_max, -x0)  # max |v|
+    q_lo, q_hi = min(l - v_max, l, -reach), max(l - x0, l, reach)
     atoms = [(x0 + j * g, m) for j, m in enumerate(step_lat.numerators) if m]
-    prev = LatticeDist(Fraction(0), step, (1,), 1)
-    for n in range(1, spec.horizon + 1):
-        prefix = [0, *accumulate(prev.numerators)]
-        base = (n - 1) * x0
-        cross = dom = 0
-        for v, m in atoms:
-            if v:
-                lo, hi = (level_i - v, level_i) if v > 0 else (level_i, level_i - v)
-                cross += m * _window(prefix, base, g, lo, hi)
-            dom += m * _window(prefix, base, g, -abs(v), abs(v))
-        den = prev.denominator * step_lat.denominator
-        cur = lattice_convolve(prev, step_lat)
-        yield n, Fraction(cross, den), Fraction(dom, den), cur
-        prev = cur
+    cur, lo, den, prefix, base = [1], 0, 1, [0, 1], 0  # S_0, the point mass at 0
+    for n in range(1, last + 1):
+        cross = sum(m * _window(prefix, base, g, *sorted((l, l - v))) for v, m in atoms if v)
+        dom = sum(m * _window(prefix, base, g, -abs(v), abs(v)) for v, m in atoms)
+        i_lo = max(-((n * x0 + (last - n) * max(v_max, 0) - q_lo) // g), 0)
+        i_hi = min((q_hi - (last - n) * min(x0, 0) - n * x0) // g, n * width)
+        cur, lo = _shift_add(cur, lo, step_lat.numerators, i_lo, i_hi), i_lo
+        den *= step_lat.denominator
+        prefix, base = [0, *accumulate(cur)], n * x0 + lo * g
+        yield n, den, cross, dom, _window(prefix, base, g, l, l), _window(prefix, base, g, 0, 0)
 
 
 def walk_marginals(spec: WalkSpec) -> List[DiscreteDist]:
     """Exact laws of S_1..S_horizon (S_0 is the implicit point mass at 0)."""
-    return [cur.to_dist() for _, _, _, cur in _scan(spec)]
+    step_lat = _step_lattice(spec)
+    marginals = accumulate(repeat(step_lat, spec.horizon - 1), lattice_convolve, initial=step_lat)
+    return [cur.to_dist() for cur in marginals]
 
 
 def crossing_prob(spec: WalkSpec, n: int) -> Fraction:
     """Exact P(sgn(S_n - l) != sgn(S_{n-1} - l))."""
     if not isinstance(n, int) or not 1 <= n <= spec.horizon:
         raise ValueError(f"n must be in 1..{spec.horizon}, got {n}")
-    for m, p, _, _ in _scan(spec):
-        if m == n:
-            return p
-    raise AssertionError("unreachable")
+    for _, den, cross, _, _, _ in _scan(_step_lattice(spec), spec.level, n):
+        pass
+    return Fraction(cross, den)
 
 
 def dominated_crossing_bound(spec: WalkSpec, n: int) -> Fraction:
@@ -195,10 +201,9 @@ def dominated_crossing_bound(spec: WalkSpec, n: int) -> Fraction:
         raise ValueError(f"n must be an integer >= 2, got {n}")
     if n > spec.horizon:
         raise ValueError(f"n must be at most the horizon {spec.horizon}, got {n}")
-    for m, _, dom, _ in _scan(spec):
-        if m == n:
-            return dom
-    raise AssertionError("unreachable")
+    for _, den, _, dom, _, _ in _scan(_step_lattice(spec), spec.level, n):
+        pass
+    return Fraction(dom, den)
 
 
 def concentration(d: DiscreteDist, lam: RationalLike) -> Fraction:
@@ -219,7 +224,8 @@ def expected_sign_changes(spec: WalkSpec) -> Fraction:
     """Exact expected number of sign changes up to the horizon, E[N_N]."""
     if spec.level != 0:
         raise NotApplicable("sign-change counting is defined for level 0 only")
-    return sum((p for _, p, _, _ in _scan(spec)), Fraction(0))
+    rows = _scan(_step_lattice(spec), spec.level, spec.horizon)
+    return sum((Fraction(cross, den) for _, den, cross, *_ in rows), Fraction(0))
 
 
 def crossing_table(spec: WalkSpec) -> CrossingReport:
@@ -231,25 +237,23 @@ def crossing_table(spec: WalkSpec) -> CrossingReport:
     same regime, decided exactly by squaring; domination_ok checks
     p_n <= P(|S_{n-1}| <= |X_n|) at level 0 for n >= 2.
     """
+    step_lat = _step_lattice(spec)
     symmetric = spec.step.is_symmetric()
     at_zero_level = spec.level == 0
-    p_zero_step = spec.step.prob(0)
-    p_zero_pow = Fraction(1)
+    z = int(step_lat.prob(0) * step_lat.denominator)  # P(X = 0)^n = z^n / den
+    z_pow = 1
     rows = []
-    for n, p, dom, cur in _scan(spec):
-        atom_at_level = cur.prob(spec.level)
-        zero_mass = cur.prob(0)
+    for n, den, cross, dom, at_level, at_zero in _scan(step_lat, spec.level, spec.horizon):
+        p = Fraction(cross, den)
+        atom_at_level = Fraction(at_level, den)
+        zero_mass = Fraction(at_zero, den)
         scaled = sqrt(n) * float(p)
-        p_zero_pow *= p_zero_step
-        lower_ok = None
-        chain_ok = None
-        dom_ok = None
-        if symmetric and at_zero_level:
-            lower_ok = p >= (1 - p_zero_pow) / (2 * n)
-            slack = p - 2 * zero_mass
-            chain_ok = slack <= 0 or n * slack * slack <= 4
-        if at_zero_level and n >= 2:
-            dom_ok = p <= dom
+        z_pow *= z
+        slack = cross - 2 * at_zero
+        bounds = symmetric and at_zero_level
+        lower_ok = 2 * n * cross >= den - z_pow if bounds else None
+        chain_ok = (slack <= 0 or n * slack * slack <= 4 * den * den) if bounds else None
+        dom_ok = cross <= dom if at_zero_level and n >= 2 else None
         rows.append(
             CrossingRow(n, p, atom_at_level, zero_mass, scaled, lower_ok, chain_ok, dom_ok)
         )

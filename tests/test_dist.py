@@ -60,6 +60,17 @@ def test_direct_construction_validates_invariants():
         DiscreteDist(((F(0), F(1, 2)),))
 
 
+def test_kernel_built_laws_pass_validation():
+    # Kernel results skip re-validation; rebuilding them through the public
+    # constructor must accept the same atoms.
+    rng = random.Random(12)
+    for _ in range(20):
+        a, b = _random_dist(rng, 5), _random_dist(rng, 5)
+        lat = lattice_convolve(to_lattice(a), to_lattice(a))
+        for d in (convolve(a, b), negate(a), symmetrize(b), lat.to_dist(), uniform_range(-3, 4)):
+            assert DiscreteDist(d.atoms) == d
+
+
 def test_convolve_worked_examples():
     r = rademacher()
     assert convolve(r, r).atoms == ((F(-2), F(1, 4)), (F(0), F(1, 2)), (F(2), F(1, 4)))
@@ -226,10 +237,16 @@ def test_lattice_convolve_mixed_steps_respect_the_cap(monkeypatch):
     monkeypatch.setenv("LCROSS_MAX_SUPPORT", "1000")
     coarse = to_lattice(make_dist([(0, 1), (1, 1)]))
     fine = to_lattice(make_dist([(0, 1), (F(1, 10**5), 1)]))
+    wide = to_lattice(uniform_range(0, 999))
+    dense = LatticeDist(F(0), F(1, 1000), (1,) * 1000, 1000)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimit, match="100002 lattice sites"):
             lattice_convolve(coarse, fine)
+        # 1000 sites on step 1 with 1000 on step 1/1000 span 10^6 sites, refused
+        # before the million pairs are formed.
+        with pytest.raises(ResourceLimit, match="1000000 lattice sites"):
+            lattice_convolve(wide, dense)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -260,6 +277,8 @@ def test_uniform_range():
     assert all(w == F(1, 3) for w in d.weights)
     with pytest.raises(InvalidDistribution):
         uniform_range(2, 1)
+    for lo, hi in ((0, 0), (-4, 3), (5, 11)):
+        assert uniform_range(lo, hi) == make_dist([(v, 1) for v in range(lo, hi + 1)])
 
 
 def test_lazy_weights():

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -5,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from lcross import (
+    DiscreteDist,
     NotApplicable,
     ResourceLimit,
     WalkSpec,
@@ -21,6 +23,7 @@ from lcross import (
     uniform_range,
     walk_marginals,
 )
+import lcross.walk as walk
 from lcross.acceptance import _enum_crossing_probs, _random_dist, _random_symmetric_dist
 
 
@@ -145,6 +148,93 @@ def test_domination_bound_brute_force():
             assert rows[n - 1].domination_ok == (rows[n - 1].p <= expected)
 
 
+def _forward(step, level, horizon):
+    """Per n: p_n, P(|S_{n-1}| <= |X_n|), P(S_n = level), P(S_n = 0).
+
+    A full integer forward recursion: values and the level over the lcm of
+    their denominators, weights over the lcm of theirs, every site of every
+    marginal kept.
+    """
+    scale = math.lcm(level.denominator, *(v.denominator for v in step.values))
+    den = math.lcm(*(w.denominator for w in step.weights))
+    moves = [(int(v * scale), int(w * den)) for v, w in step.atoms]
+    lvl = int(level * scale)
+    sgn = lambda t: (t > 0) - (t < 0)
+    law = {0: 1}
+    rows = []
+    for n in range(1, horizon + 1):
+        cross = dom = 0
+        nxt: dict = {}
+        for x, p in law.items():
+            for v, w in moves:
+                cross += p * w * (sgn(x + v - lvl) != sgn(x - lvl))
+                dom += p * w * (abs(x) <= abs(v))
+                nxt[x + v] = nxt.get(x + v, 0) + p * w
+        law = nxt
+        rows.append(tuple(F(k, den**n) for k in (cross, dom, law.get(lvl, 0), law.get(0, 0))))
+    return rows
+
+
+def test_pruned_scan_matches_full_forward_recursion():
+    mixed = make_dist([(-2, 1), (1, 2), (3, 1)])
+    positive = make_dist([(1, 1), (2, 3), (4, 1)])
+    negative = make_dist([(-5, 2), (-2, 1), (-1, 1)])
+    halves = make_dist([(F(1, 2), 1), (F(3, 2), 1)])
+    gapped = make_dist([(-3, 1), (0, 2), (3, 1)])
+    steps = [mixed, positive, negative, halves, gapped, point_mass(0), point_mass(F(-2, 3))]
+    for step, horizon in [(s, h) for s in steps for h in (1, 2, 9)] + [(mixed, 40), (negative, 40)]:
+        lo, hi = step.values[0], step.values[-1]
+        levels = {
+            F(0),
+            hi,  # a site of S_1
+            2 * lo,  # a site of S_2
+            F(1, 7),  # off the lattice
+            lo * horizon,  # the ends of S_horizon's support
+            hi * horizon,
+            lo * horizon - 1,  # just past them
+            hi * horizon + 1,
+            F(1000),  # far above and below the support
+            F(-1000),
+        }
+        for level in sorted(levels):
+            spec = WalkSpec(step=step, level=level, horizon=horizon)
+            oracle = _forward(step, level, horizon)
+            rows = crossing_table(spec).rows
+            assert [(r.p, r.atom_at_level, r.zero_mass) for r in rows] == [
+                (p, at_level, at_zero) for p, _, at_level, at_zero in oracle
+            ]
+            assert [crossing_prob(spec, n) for n in range(1, horizon + 1)] == [o[0] for o in oracle]
+            if level == 0:
+                doms = [dominated_crossing_bound(spec, n) for n in range(2, horizon + 1)]
+                assert doms == [o[1] for o in oracle[1:]]
+                assert [r.domination_ok for r in rows[1:]] == [p <= d for p, d, _, _ in oracle[1:]]
+                assert expected_sign_changes(spec) == sum(o[0] for o in oracle)
+
+
+def test_scan_work_shrinks_toward_the_last_row(monkeypatch):
+    sites = []
+    real = walk._shift_add
+
+    def counting(*args):
+        out = real(*args)
+        sites.append(len(out))
+        return out
+
+    monkeypatch.setattr(walk, "_shift_add", counting)
+    step = make_dist([(-2, 1), (-1, 3), (0, 1), (1, 2), (2, 1)])
+    # p_30 costs the same whatever the horizon: the scan prunes to n, not to the horizon.
+    crossing_prob(WalkSpec(step=step, horizon=30), 30)
+    short = sum(sites)
+    sites.clear()
+    crossing_prob(WalkSpec(step=step, horizon=300), 30)
+    assert sum(sites) == short
+    # A full pass keeps about half the sites of the full marginals S_1..S_H.
+    sites.clear()
+    crossing_table(WalkSpec(step=step, horizon=100))
+    full = sum(4 * n + 1 for n in range(1, 101))
+    assert sum(sites) < 0.6 * full
+
+
 def test_concentration():
     r = rademacher()
     assert concentration(r, 0) == F(1, 2)
@@ -200,6 +290,11 @@ def test_resource_cap(monkeypatch):
             crossing_table(WalkSpec(step=step, horizon=horizon))
         assert len(walk_marginals(WalkSpec(step=step, horizon=first - 1))[-1]) <= 10
     monkeypatch.setenv("LCROSS_MAX_SUPPORT", "1000")
+    # The horizon is refused before the step law's symmetry is tested.
+    with monkeypatch.context() as m:
+        m.setattr(DiscreteDist, "is_symmetric", lambda d: pytest.fail("symmetry tested"))
+        with pytest.raises(ResourceLimit, match="n=2 "):
+            crossing_table(WalkSpec(step=uniform_range(0, 999), horizon=2))
     wide = make_dist([(0, 1), (1, 1), (10**7, 1)])
     tracemalloc.start()
     try:
