@@ -17,12 +17,20 @@ from typing import List, Optional
 
 from . import acceptance
 from .dichotomy import _check_cap, dichotomy_check, lemma1_witness, problem_from_json_dict
-from .dist import DiscreteDist, from_json, interval_prob, lazy, rademacher, uniform_range
+from .dist import (
+    DiscreteDist,
+    from_json,
+    interval_prob,
+    lazy,
+    rademacher,
+    support_cap,
+    uniform_range,
+)
 from .errors import InvalidDistribution, InvalidKernel, LcrossError, TheoremViolation
 from .mc import cauchy, factorial_heavy, from_dist, gaussian, mc_crossing, mc_sign_changes, mc_top_two_tie
 from .rationals import as_rational, format_rational
 from .symmetrization import optimality_family, ratio_scan
-from .walk import WalkSpec, crossing_table
+from .walk import WalkSpec, _check_horizon, crossing_table
 
 DEFAULT_SEED = 0
 
@@ -58,6 +66,13 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _cmd_crossing(args: argparse.Namespace) -> int:
+    match = _UNIFORM_RE.match(args.dist)
+    if match:
+        lo, hi = int(match.group(1)), int(match.group(2))
+        if hi - lo < support_cap():
+            # Refuse an over-cap horizon before the law's atoms are built;
+            # an over-cap range is refused by uniform_range itself.
+            _check_horizon(args.horizon, max(hi - lo, 0))
     d = _resolve_dist(args.dist)
     spec = WalkSpec(step=d, level=as_rational(args.level), horizon=args.horizon)
     report = crossing_table(spec)

@@ -8,9 +8,12 @@ one position engine that yields the partial sums S_1..S_n of all sampled
 paths, one vector per time step.  Positions for discrete samplers are
 exact integers: int64 while no sum can reach 2^62, and numpy object
 vectors of Python ints beyond that.  Only the continuous samplers use
-floating point.  All randomness comes from counter-based Philox streams
-keyed by (seed, stream_id), so results are reproducible and independent
-of parallelism.
+floating point.  Discrete draws invert the float cumulative weights
+through a bucketed guide table (`_draw_indices`) and are bit-identical to
+np.searchsorted(cum, u, side="right") on the same uniforms.  All
+randomness comes from counter-based Philox streams keyed by
+(seed, stream_id), so results are reproducible and independent of
+parallelism.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ from .rationals import RationalLike, as_rational
 _KINDS = ("from_dist", "gaussian", "cauchy", "factorial_heavy")
 
 _INT64_SAFE = 2**62
+
+# Uniforms drawn and indexed per pass of _draw_indices; bounds its temporaries.
+_DRAW_CHUNK = 2**15
 
 LevelLike = Union[RationalLike, float]
 
@@ -145,7 +151,49 @@ def _float_cumulative(weights: Tuple[Fraction, ...]) -> np.ndarray:
 
 
 def _draw_indices(rng: np.random.Generator, cum: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    return np.searchsorted(cum, rng.random(shape), side="right")
+    """np.searchsorted(cum, rng.random(shape), side="right"), by a bucketed inverse CDF.
+
+    This is the guide-table ("indexed search") method of Chen & Asau,
+    AIIE Trans. 6 (1974); see also Devroye, Non-Uniform Random Variate
+    Generation (1986), III.2.4.  m is a power of two, at least 1024 and
+    4*len(cum) and at most 2^16.  Multiplying by a power of two only shifts
+    the exponent, so v = u*m and t = cum*m are exact and v >= t[i] exactly
+    when u >= cum[i]; the integer part b of v names u's bucket [b, b+1).
+    start[b] = searchsorted(t, b, "right") is the answer for v = b, and for
+    a larger v in the bucket the answer grows by the number of entries of t
+    in (b, v], all of them strictly inside the bucket.  When the bucket
+    holds at most one entry, that entry is t[start[b]], so one compare
+    v >= t[start[b]] completes the index.  Draws in buckets that hold two
+    or more entries (skewed laws, equal float entries) are answered by
+    searchsorted itself.  The uniforms are drawn in C order, in chunks that
+    bound the temporaries, which consumes the stream exactly as one
+    rng.random(shape) call: the indices are bit-identical.
+    """
+    m = 1 << min(16, max(10, (4 * len(cum) - 1).bit_length()))
+    t = cum * m
+    edges = np.arange(m + 1, dtype=np.float64)
+    start = np.searchsorted(t, edges[:-1], side="right")
+    crowded = np.searchsorted(t, edges[1:], side="left") - start >= 2
+    any_crowded = bool(crowded.any())
+    out = np.empty(shape, dtype=np.intp)
+    flat = out.reshape(-1)
+    v, at = np.empty(_DRAW_CHUNK), np.empty(_DRAW_CHUNK)
+    bucket, above = np.empty(_DRAW_CHUNK, dtype=np.intp), np.empty(_DRAW_CHUNK, dtype=bool)
+    for lo in range(0, flat.size, _DRAW_CHUNK):
+        seg = flat[lo : lo + _DRAW_CHUNK]
+        if seg.size < _DRAW_CHUNK:
+            v, at, bucket, above = (a[: seg.size] for a in (v, at, bucket, above))
+        rng.random(out=v)
+        v *= m
+        np.copyto(bucket, v, casting="unsafe")
+        np.take(start, bucket, out=seg, mode="clip")
+        np.take(t, seg, out=at, mode="clip")
+        np.greater_equal(v, at, out=above)
+        seg += above
+        if any_crowded:
+            hit = crowded[bucket]
+            seg[hit] = np.searchsorted(t, v[hit], side="right")
+    return out
 
 
 def _index_cumulative(trunc: int) -> np.ndarray:

@@ -132,17 +132,24 @@ def _window(prefix: List[int], base: int, g: int, lo: int, hi: int) -> int:
     return prefix[j + 1] - prefix[i] if j >= i else 0
 
 
-def _step_lattice(spec: WalkSpec) -> LatticeDist:
-    """The step law's lattice; refused up front when S_horizon spans more sites than the cap."""
+def _check_horizon(horizon: int, width: int) -> None:
+    """Refuse a horizon whose S_horizon spans more sites than the cap.
+
+    `width` is the step lattice's span in sites, so S_n spans n*width + 1.
+    """
     limit = support_cap()
-    step_lat = to_lattice(spec.step)
-    width = len(step_lat) - 1
-    if spec.horizon * width + 1 > limit:
+    if horizon * width + 1 > limit:
         # S_n spans n*width + 1 sites; name the first n over the cap.
         raise ResourceLimit(
             f"marginal support at n={(limit - 1) // width + 1} exceeds the cap of "
             f"{limit} lattice sites"
         )
+
+
+def _step_lattice(spec: WalkSpec) -> LatticeDist:
+    """The step law's lattice; refused up front when S_horizon spans more sites than the cap."""
+    step_lat = to_lattice(spec.step)
+    _check_horizon(spec.horizon, len(step_lat) - 1)
     return step_lat
 
 

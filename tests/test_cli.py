@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lcross.acceptance as acceptance
+import lcross.cli as cli
 from lcross.acceptance import CriterionResult
 from lcross.cli import run
 
@@ -91,6 +92,18 @@ def test_crossing_rejects_bad_inputs(tmp_path, capsys):
     assert run(["crossing", "--dist", "rademacher", "--horizon", "100000000"]) == 2
     err = capsys.readouterr().err
     assert "n=1000000 exceeds the cap" in err and len(err.strip().splitlines()) == 1
+
+
+def test_uniform_horizon_refused_before_the_law_is_built(monkeypatch, capsys):
+    # uniform{0..999999} fits the default cap of 10^6 sites, but S_2 spans
+    # 1999999 of them; the refusal must come before uniform_range runs.
+    monkeypatch.setattr(cli, "uniform_range", lambda lo, hi: pytest.fail("law built"))
+    assert run(["crossing", "--dist", "uniform{0..999999}", "--horizon", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: marginal support at n=2 exceeds the cap of 1000000 lattice sites\n"
+    monkeypatch.setenv("LCROSS_MAX_SUPPORT", "1000")
+    assert run(["crossing", "--dist", "uniform{-5..5}", "--horizon", "100"]) == 2
+    assert "n=100 exceeds the cap of 1000 " in capsys.readouterr().err
 
 
 def test_uniform_builtin(capsys):

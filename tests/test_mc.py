@@ -1,9 +1,12 @@
 import itertools
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcross import (
     InvalidDistribution,
@@ -24,8 +27,10 @@ from lcross import (
     rademacher,
     seeded_stream,
     top_two_tie_prob,
+    uniform_range,
 )
 from lcross.acceptance import _random_dist
+from lcross.mc import _draw_indices, _float_cumulative, _index_cumulative
 
 
 def within_three_sigma(est, exact):
@@ -312,3 +317,119 @@ def test_levels_beyond_int64_stay_exact():
     for level in (2**63 - 1, -(2**63) + 1, 2**64, F(2**70 + 1, 2)):
         assert mc_crossing(r, 2, level, 1000, 0).mean == 0.0
     assert mc_crossing(r, 1, 2**64, 1000, 0).mean == 0.0
+
+
+# Exact results of seeded int64, float and tie streams, recorded before the
+# discrete draws were bucketed; the bucketed draw must return the same
+# indices and consume the stream in the same order.
+PINNED_DRAW_SAMPLERS = {
+    "rad": lambda: from_dist(rademacher()),
+    "lazy": lambda: from_dist(lazy_law()),
+    "pm": lambda: from_dist(point_mass(1)),
+    "u101": lambda: from_dist(uniform_range(-50, 50)),
+    "tri8": lambda: from_dist(make_dist([(k, k) for k in range(1, 9)])),
+    "gauss": gaussian,
+    "cauchy": cauchy,
+    "fh64": lambda: factorial_heavy(64),
+}
+PINNED_DRAWS = [
+    ("crossing", "rad", 7, "0", 11, "0x1.28f5c28f5c28fp-2", "0x1.a4a494f872271p-5"),
+    ("crossing", "lazy", 6, "1/2", 11, "0x1.b4e81b4e81b4fp-4", "0x1.1e288dc66d54ep-5"),
+    ("crossing", "pm", 3, "5/2", 11, "0x1.0000000000000p+0", "0x1.b4e81b4e81b4fp-9"),
+    ("crossing", "u101", 5, "-7", 11, "0x1.3333333333333p-3", "0x1.4b026fadf2398p-5"),
+    ("sign_changes", "rad", 12, None, 11, "0x1.2851eb851eb85p+2", "0x1.543f71ec6097bp-2"),
+    ("sign_changes", "lazy", 10, None, 11, "0x1.6aaaaaaaaaaabp+1", "0x1.8c271b3bf57d0p-3"),
+    ("sign_changes", "pm", 4, None, 11, "0x1.0000000000000p+0", "0x1.b4e81b4e81b4fp-9"),
+    ("sign_changes", "u101", 8, None, 11, "0x1.147ae147ae148p+1", "0x1.29fc1208f31eep-3"),
+    ("top_two_tie", "fh64", 16, None, 11, "0x1.eb851eb851eb8p-6", "0x1.3c45d7dbf5b07p-6"),
+    ("top_two_tie", "tri8", 6, None, 11, "0x1.317e4b17e4b18p-1", "0x1.c6c2d92eaee11p-5"),
+    ("top_two_tie", "u101", 12, None, 11, "0x1.d0369d0369d03p-5", "0x1.aca8ab3407dc1p-6"),
+    ("crossing", "gauss", 9, "1/2", 11, "0x1.f92c5f92c5f93p-4", "0x1.30d1d066c7b5bp-5"),
+    ("sign_changes", "cauchy", 12, None, 11, "0x1.2740da740da74p+1", "0x1.26caef7d21e9bp-3"),
+    ("crossing", "rad", 7, "0", 12, "0x1.2c5f92c5f92c6p-2", "0x1.a60f29844d32fp-5"),
+    ("crossing", "lazy", 6, "1/2", 12, "0x1.17e4b17e4b17ep-3", "0x1.3e6c92753323dp-5"),
+    ("crossing", "pm", 3, "5/2", 12, "0x1.0000000000000p+0", "0x1.b4e81b4e81b4fp-9"),
+    ("crossing", "u101", 5, "-7", 12, "0x1.851eb851eb852p-3", "0x1.6baaec9cc84cdp-5"),
+    ("sign_changes", "rad", 12, None, 12, "0x1.262fc962fc963p+2", "0x1.4ef1d84b95d9ap-2"),
+    ("sign_changes", "lazy", 10, None, 12, "0x1.47ae147ae147bp+1", "0x1.6b9593c6f5e3fp-3"),
+    ("sign_changes", "pm", 4, None, 12, "0x1.0000000000000p+0", "0x1.b4e81b4e81b4fp-9"),
+    ("sign_changes", "u101", 8, None, 12, "0x1.0b851eb851eb8p+1", "0x1.1575cf46db8d8p-3"),
+    ("top_two_tie", "fh64", 16, None, 12, "0x1.7e4b17e4b17e5p-5", "0x1.870ed863a4ab0p-6"),
+    ("top_two_tie", "tri8", 6, None, 12, "0x1.199999999999ap-1", "0x1.cd2ec4274950bp-5"),
+    ("top_two_tie", "u101", 12, None, 12, "0x1.3a06d3a06d3a0p-4", "0x1.ed48f75f04b12p-6"),
+    ("crossing", "gauss", 9, "1/2", 12, "0x1.62fc962fc9630p-4", "0x1.04cfa4f00006ep-5"),
+    ("sign_changes", "cauchy", 12, None, 12, "0x1.17e4b17e4b17ep+1", "0x1.13d44ea0460b9p-3"),
+]
+
+
+@pytest.mark.parametrize("fn,sampler,n,level,seed,mean,half", PINNED_DRAWS)
+def test_pinned_draw_streams(fn, sampler, n, level, seed, mean, half):
+    s = PINNED_DRAW_SAMPLERS[sampler]()
+    if fn == "crossing":
+        est = mc_crossing(s, n, F(level), 300, seed)
+    elif fn == "sign_changes":
+        est = mc_sign_changes(s, n, 300, seed)
+    else:
+        est = mc_top_two_tie(s, n, 300, seed)
+    assert (est.mean.hex(), est.half_width_95.hex()) == (mean, half)
+
+
+class _Feed:
+    """Stands in for a Generator whose random() hands out given uniforms in order."""
+
+    def __init__(self, u):
+        self.u, self.pos = u, 0
+
+    def random(self, out):
+        out[...] = self.u[self.pos : self.pos + out.size]
+        self.pos += out.size
+        return out
+
+
+@lru_cache(maxsize=None)
+def _skewed_cumulative():
+    # 999 atoms share 1/1000 below one atom of 999/1000: the low buckets
+    # hold hundreds of entries each, so draws there take the fallback.
+    return _float_cumulative((F(1, 999_000),) * 999 + (F(999, 1000),))
+
+
+@lru_cache(maxsize=None)
+def _uniform_cumulative():
+    return _float_cumulative((F(1, 10**5),) * 10**5)
+
+
+def _weights_cumulative(raw):
+    total = sum(raw)
+    return _float_cumulative(tuple(F(w, total) for w in raw))
+
+
+_CUMULATIVES = st.one_of(
+    st.just(np.array([1.0])),
+    st.integers(2, 170).map(_index_cumulative),
+    # A weight of 10^22 next to small ones makes runs of equal float entries.
+    st.lists(st.integers(1, 10**6) | st.just(10**22), min_size=1, max_size=300).map(
+        _weights_cumulative
+    ),
+    st.builds(_skewed_cumulative),
+    st.builds(_uniform_cumulative),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cum=_CUMULATIVES, cols=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+def test_draw_indices_equal_searchsorted(cum, cols, seed):
+    # Every cum entry, its float neighbours and every bucket edge b/2^16
+    # (which includes the edges of every coarser power-of-two table).
+    edges = np.arange(2**16) / 2**16
+    u = np.concatenate([cum, np.nextafter(cum, 0), np.nextafter(cum, 2), edges])
+    u = u[(u >= 0) & (u < 1)]
+    u = np.random.default_rng(seed).permutation(u)
+    got = _draw_indices(_Feed(u), cum, u.shape)
+    assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
+    # Seeded streams: same indices, and the stream is left where one
+    # rng.random(shape) call leaves it.
+    shape = (1 + seed % 1500, cols)
+    a, b = seeded_stream(seed, 0), seeded_stream(seed, 0)
+    got = _draw_indices(a, cum, shape)
+    assert np.array_equal(got, np.searchsorted(cum, b.random(shape), side="right"))
+    assert got.dtype == np.intp and a.random() == b.random()
