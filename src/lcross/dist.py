@@ -108,8 +108,11 @@ class DiscreteDist:
         return interval_prob(self, v, v)
 
     def is_symmetric(self) -> bool:
-        """True when the law equals its reflection about zero."""
-        return self == negate(self)
+        """True when the law equals its reflection about zero, decided on the integer form."""
+        s = self._scaled
+        return s.weights == s.weights[::-1] and all(
+            x == -y for x, y in zip(s.values, reversed(s.values))
+        )
 
 
 def _exact(atoms: Tuple[Atom, ...]) -> DiscreteDist:

@@ -3,24 +3,30 @@
 Samplers cover finite laws, Gaussian and Cauchy steps, and the factorial
 heavy-tail construction that draws an index k with probability
 proportional to k^(-3/2) (truncated at K) and emits a fair sign times k!.
-The crossing, sign-change and dominance estimators are reductions over
-one position engine that yields the partial sums S_1..S_n of all sampled
-paths, one vector per time step.  Positions for discrete samplers are
-exact integers: int64 while no sum can reach 2^62, and numpy object
-vectors of Python ints beyond that.  Only the continuous samplers use
-floating point.  Discrete draws invert the float cumulative weights
-through a bucketed guide table (`_draw_indices`) and are bit-identical to
-np.searchsorted(cum, u, side="right") on the same uniforms.  All
-randomness comes from counter-based Philox streams keyed by
-(seed, stream_id), so results are reproducible and independent of
-parallelism.
+The crossing, sign-change and dominance estimators only read signs of
+S_k - l, and are reductions over one sign engine that yields them for
+all sampled paths, one vector per time step.  Positions for discrete
+samplers are exact integers: on int64 while no sum can reach 2^62.
+Beyond that the signs are decided in float64 under a proven rounding
+error bound (_screened_signs), and only the paths whose sign the bound
+leaves open are summed exactly, as numpy object vectors of Python ints;
+past 2^1000, where a float could overflow, every path is summed exactly.
+Every sign is exact, so the estimates are those of exact sums.  Only the
+continuous samplers use floating point positions.  Discrete draws invert
+the float cumulative weights through a bucketed guide table
+(`_draw_indices`) and are bit-identical to np.searchsorted(cum, u,
+side="right") on the same uniforms.  All randomness comes from
+counter-based Philox streams keyed by (seed, stream_id), so results are
+reproducible and independent of parallelism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm, sqrt
+from itertools import accumulate
+from math import lcm, sqrt
+from operator import mul
 from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -32,6 +38,13 @@ from .rationals import RationalLike, as_rational
 _KINDS = ("from_dist", "gaussian", "cauchy", "factorial_heavy")
 
 _INT64_SAFE = 2**62
+
+# Below this reach a float64 screen decides signs: every step, sum and
+# rounding bound it forms stays finite.
+_FLOAT_SAFE = 2**1000
+
+# Steps (rows x times) per block of the float screen; bounds its temporaries.
+_SCREEN_BLOCK = 2**14
 
 # Uniforms drawn and indexed per pass of _draw_indices; bounds its temporaries.
 _DRAW_CHUNK = 2**15
@@ -211,6 +224,11 @@ def _factorial_draws(
     return idx, rng.integers(0, 2, shape)
 
 
+def _factorials(trunc: int) -> List[int]:
+    """[0!, 1!, ..., trunc!] by one running product."""
+    return list(accumulate(range(1, trunc + 1), mul, initial=1))
+
+
 def _signed_table(magnitudes: List[int]) -> List[int]:
     """Entry k is -v_k and entry k + len(magnitudes) is +v_k."""
     return [-v for v in magnitudes] + magnitudes
@@ -244,7 +262,9 @@ def _partial_sums(table: List[int], code: np.ndarray, shift: int = 0) -> Iterato
     samples, n = code.shape
     if max(abs(v) for v in table) * n + abs(shift) < _INT64_SAFE:
         steps = np.array(table, dtype=np.int64)[code.T]
-        yield from np.cumsum(steps, axis=0, out=np.empty((n, samples), dtype=np.int64))
+        sums = np.cumsum(steps, axis=0, out=np.empty((n, samples), dtype=np.int64))
+        del steps  # free the steps before callers form signs from the sums
+        yield from sums
         return
     values = np.array(table, dtype=object)
     total = values[code[:, 0]]
@@ -254,15 +274,96 @@ def _partial_sums(table: List[int], code: np.ndarray, shift: int = 0) -> Iterato
         yield total
 
 
-def _positions(
-    s: StepSampler, n: int, samples: int, seed: int, level: LevelLike = 0
-) -> Tuple[Iterator[np.ndarray], Union[int, float]]:
-    """Partial sums S_1..S_n of sampled paths, one vector per time, and the level.
+def _signs(table: List[int], code: np.ndarray, shift: int, first: int) -> Iterator[np.ndarray]:
+    """Exact sgn(S_k - shift) for k = first..n, one vector per time, for steps table[code[:, k-1]].
 
-    Both are in common units: floats for the continuous samplers, and
-    otherwise exact integers on the common denominator of the step values
-    and the level.  The steps are drawn as one samples x n block from the
-    (seed, 0) stream, so every estimator sees the same paths for a seed.
+    Below the int64 bound (see _partial_sums) the signs are read off the
+    int64 sums.  Beyond it, while max|v|*n + |shift| < 2^1000, a float64
+    screen decides them and exact sums run only for the rows it leaves in
+    doubt (_screened_signs); past 2^1000 a float could overflow, and every
+    row is summed exactly.
+    """
+    samples, n = code.shape
+    reach = max(abs(v) for v in table) * n + abs(shift)
+    if _INT64_SAFE <= reach < _FLOAT_SAFE:
+        yield from _screened_signs(table, code, shift, first)
+        return
+    for k, col in enumerate(_partial_sums(table, code, shift), 1):
+        if k >= first:
+            yield np.sign(col - shift if shift else col)
+
+
+def _screened_signs(
+    table: List[int], code: np.ndarray, shift: int, first: int
+) -> np.ndarray:
+    """sgn(S_k - l), l = shift, for k = first..n as int8 rows, decided in float64 where safe.
+
+    Let u = 2^-53.  Each step is converted once, t = fl(v) = v(1 + d) with
+    |d| <= u (float(int) rounds correctly), and both F_k = fl(F_{k-1} + t)
+    and A_k = fl(A_{k-1} + |t|) are summed in time order.
+    By the recursive-summation bound (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed. 2002, 4.2) |F_k - sum t| <= g(k-1) sum|t|
+    with g(m) = mu / (1 - mu), and the conversions add at most u sum|v|;
+    since g(k-1) + u/(1-u) <= g(k), |F_k - S_k| <= g(k) sum|t|.  A_k sums
+    non-negative terms, so sum|t| <= A_k / (1 - g(k-1)).  With s = fl(l),
+    |s - l| <= u|s| / (1 - u), and the exact real F_k - s therefore lies
+    within E = g(k) A_k / (1 - g(k-1)) + u|s| / (1 - u) of S_k - l.  For
+    k <= 2^33 (far past any n whose draws fit in memory) this gives
+    (1 + u) E <= (1 + 2^-17)(k u A_k + u |s|).  The screen tests
+    |D| > B with D = fl(F_k - s) and B = fl(fl((k + 1) 2u A_k) + 2u|s|);
+    the computed B is at least (1 - u)^2 times twice k u A_k + u|s|, so it
+    exceeds (1 + u) E.  Then |F_k - s| >= |D| / (1 + u) > E, so F_k - s has
+    the sign of S_k - l, and D has the sign of F_k - s: rounding is
+    monotone and a float difference is zero only when its operands are
+    equal.  An exact zero D is never certified.  Separately, when
+    A_k < 2^53 and |l| <= 2^53 every partial sum is an integer below 2^53,
+    so F_k = S_k and s = l exactly (a computed A_k < 2^53 implies the exact
+    one is, since rounding is monotone), and the sign of D is exact,
+    zeros included.  Rows with a read time that neither rule decides are
+    summed exactly by _partial_sums, so every sign returned is exact.  The
+    screen runs on blocks of rows, which keeps its float memory bounded.
+    """
+    samples, n = code.shape
+    values = np.array([float(v) for v in table])
+    # F_k in the real part and A_k in the imaginary part: complex addition
+    # is one IEEE addition per part, so each step is one gather and one add.
+    pairs = values + 1j * np.abs(values)
+    s = float(shift)
+    exact_below = 2.0**53 if abs(shift) <= 2**53 else 0.0
+    scale = np.arange(first + 1, n + 2)[:, None] * 2.0**-52
+    floor = 2.0**-52 * abs(s)
+    signs = np.empty((n - first + 1, samples), dtype=np.int8)
+    doubt = np.zeros(samples, dtype=bool)
+    block = max(1, _SCREEN_BLOCK // n)
+    for lo in range(0, samples, block):
+        hi = lo + block
+        acc = pairs[code[lo:hi].T]
+        for k in range(1, n):
+            acc[k] += acc[k - 1]
+        f, a = acc.real[first - 1 :], acc.imag[first - 1 :]
+        d = f - s if s else f
+        undecided = np.abs(d) <= a * scale + floor
+        undecided &= a >= exact_below
+        doubt[lo:hi] = undecided.any(axis=0)
+        np.sign(d, out=signs[:, lo:hi], casting="unsafe")
+    rows = np.flatnonzero(doubt)
+    if rows.size:
+        for k, col in enumerate(_partial_sums(table, code[rows], shift), 1):
+            if k >= first:
+                signs[k - first, rows] = np.sign(col - shift)
+    return signs
+
+
+def _path_signs(
+    s: StepSampler, n: int, samples: int, seed: int, level: LevelLike, first: int
+) -> Iterator[Union[np.ndarray, int, float]]:
+    """sgn(S_k - l) of sampled paths for k = first..n, one vector per time.
+
+    S_0 = 0, so time 0 yields one number.  Positions are floats for the
+    continuous samplers, and otherwise exact integers on the common
+    denominator of the step values and the level.  The steps are drawn as
+    one samples x n block from the (seed, 0) stream, so every estimator sees
+    the same paths for a seed.
     """
     rng = seeded_stream(seed, 0)
     if s.kind in ("gaussian", "cauchy"):
@@ -271,7 +372,13 @@ def _positions(
         else:
             steps = s.location + s.scale * rng.standard_cauchy((samples, n))
         lf = float(level) if isinstance(level, (int, float)) else float(as_rational(level))
-        return iter(np.cumsum(steps.T, axis=0, out=np.empty((n, samples)))), lf
+        sums = np.cumsum(steps.T, axis=0, out=np.empty((n, samples)))
+        del steps  # free the draws before the signs are formed
+        if first == 0:
+            yield np.sign(-lf)
+        for col in sums[max(first, 1) - 1 :]:
+            yield np.sign(col - lf if lf else col)
+        return
     level_q = _coerce_level(level)
     if s.kind == "from_dist":
         assert s.dist is not None
@@ -280,16 +387,12 @@ def _positions(
     else:
         shift = level_q.numerator
         den = level_q.denominator
-        table = _signed_table([factorial(k) * den for k in range(s.trunc + 1)])
+        table = _signed_table([f * den for f in _factorials(s.trunc)])
         idx, up = _factorial_draws(rng, s.trunc, (samples, n))
         code = idx + up * (s.trunc + 1)
-    return _partial_sums(table, code, shift), shift
-
-
-def _last(columns: Iterator[np.ndarray]) -> np.ndarray:
-    for col in columns:
-        pass
-    return col
+    if first == 0:
+        yield (shift < 0) - (shift > 0)
+    yield from _signs(table, code, shift, max(first, 1))
 
 
 def mc_crossing(
@@ -300,11 +403,8 @@ def mc_crossing(
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     params = {"n": n, "level": str(level), "sampler": s.describe()}
-    sums, shift = _positions(s, n, samples, seed, level)
-    prev = cur = 0
-    for col in sums:
-        prev, cur = cur, col
-    hits = int(np.count_nonzero(np.sign(prev - shift) != np.sign(cur - shift)))
+    prev, cur = _path_signs(s, n, samples, seed, level, n - 1)
+    hits = int(np.count_nonzero(prev != cur))
     return _bernoulli_estimate("crossing", hits, samples, seed, params)
 
 
@@ -314,11 +414,9 @@ def mc_sign_changes(s: StepSampler, N: int, samples: int, seed: int) -> McEstima
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     params = {"N": N, "sampler": s.describe()}
-    sums, _ = _positions(s, N, samples, seed)
     counts = np.zeros(samples, dtype=np.int64)
     prev = 0
-    for col in sums:
-        cur = np.sign(col)
+    for cur in _path_signs(s, N, samples, seed, 0, 1):
         counts += cur != prev
         prev = cur
     return _count_estimate("sign_changes", counts, samples, seed, params)
@@ -393,15 +491,18 @@ def factorial_dominance_stats(trunc: int, n: int, samples: int, seed: int) -> di
         raise ValueError(f"n must be an integer >= 2, got {n}")
     sampler = factorial_heavy(trunc)
     idx, up = _factorial_draws(seeded_stream(seed, 0), trunc, (samples, n))
-    fact = [factorial(k) for k in range(trunc + 1)]
-    total = _last(_partial_sums(_signed_table(fact), idx + up * (trunc + 1)))
-    magnitude = _last(_partial_sums(fact, idx))
-    top = idx.max(axis=1)
+    signed = _signed_table(_factorials(trunc))
+    (total,) = _signs(signed, idx + up * (trunc + 1), 0, n)
+    rows, at = np.arange(samples), idx.argmax(axis=1)
+    top = idx[rows, at]
+    # The top step counted negative and every other step positive: the sum
+    # is negative exactly when top! exceeds the sum of the other magnitudes.
+    margin_code = idx + (trunc + 1)
+    margin_code[rows, at] = top
+    (margin,) = _signs(signed, margin_code, 0, n)
     distinct = np.count_nonzero(idx == top[:, None], axis=1) == 1
-    top_fact = np.array(fact, dtype=magnitude.dtype)[top]
-    dominant = distinct & (top_fact > magnitude - top_fact)
-    top_sign = 2 * up[np.arange(samples), idx.argmax(axis=1)] - 1
-    agree = distinct & (np.sign(total) == top_sign)
+    dominant = distinct & (margin < 0)
+    agree = distinct & (total == 2 * up[rows, at] - 1)
     return {
         "sampler": sampler.describe(),
         "samples": samples,

@@ -331,3 +331,21 @@ def test_convolve_mass_exactly_one(pa, pb):
         return
     c = convolve(make_dist(pa), make_dist(pb))
     assert sum(c.weights) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.tuples(finite_fractions, weight_fractions), min_size=1, max_size=5),
+    st.booleans(),
+    st.one_of(st.none(), st.tuples(finite_fractions, weight_fractions)),
+)
+def test_is_symmetric_matches_negation(pairs, mirror, extra):
+    # Mirrored laws are symmetric; one extra atom usually breaks that.
+    if mirror:
+        pairs = pairs + [(-v, w) for v, w in pairs]
+    if extra is not None:
+        pairs = pairs + [extra]
+    if all(w == 0 for _, w in pairs):
+        return
+    d = make_dist(pairs)
+    assert d.is_symmetric() == (d == negate(d))

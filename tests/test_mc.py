@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcross import (
@@ -30,7 +31,15 @@ from lcross import (
     uniform_range,
 )
 from lcross.acceptance import _random_dist
-from lcross.mc import _draw_indices, _float_cumulative, _index_cumulative
+from lcross.mc import (
+    _draw_indices,
+    _factorials,
+    _float_cumulative,
+    _index_cumulative,
+    _partial_sums,
+    _signed_table,
+    _signs,
+)
 
 
 def within_three_sigma(est, exact):
@@ -254,6 +263,8 @@ PINNED_SAMPLERS = {
     "fh20": lambda: factorial_heavy(20),
     "fh64": lambda: factorial_heavy(64),
     "fh8": lambda: factorial_heavy(8),
+    "fh150": lambda: factorial_heavy(150),
+    "fh200": lambda: factorial_heavy(200),
     "big3": lambda: from_dist(make_dist(NEAR_2_61)),
 }
 PINNED_ESTIMATES = [
@@ -273,12 +284,23 @@ PINNED_ESTIMATES = [
     ("sign_changes", "fh20", 12, None, 12, "0x1.21b4e81b4e81bp+1", "0x1.2e23644bd1506p-3"),
     ("sign_changes", "fh64", 16, None, 12, "0x1.4666666666666p+1", "0x1.642df9c40c7dfp-3"),
     ("sign_changes", "big3", 8, None, 12, "0x1.09d0369d0369dp+1", "0x1.38f48f679c0afp-3"),
+    # Recorded before the float screen: 200! is past its 2^1000 guard,
+    # 150! inside it, and 5040 = 7! makes exact zeros reachable.
+    ("crossing", "fh200", 8, "0", 11, "0x1.62fc962fc9630p-5", "0x1.797dbacb52d39p-6"),
+    ("crossing", "fh200", 12, "-7", 12, "0x1.0369d0369d037p-4", "0x1.c391a7dc4b6fbp-6"),
+    ("sign_changes", "fh200", 12, None, 11, "0x1.13a06d3a06d3ap+1", "0x1.0f089a34a90d6p-3"),
+    ("sign_changes", "fh150", 16, None, 12, "0x1.3e4b17e4b17e5p+1", "0x1.44b4820b5dba6p-3"),
+    ("crossing", "fh20", 8, "5040", 11, "0x1.47ae147ae147bp-6", "0x1.039039991debap-6"),
+    ("crossing", "fh20", 8, "5040", 12, "0x1.0369d0369d037p-4", "0x1.c391a7dc4b6fbp-6"),
+    ("crossing", "fh20", 6, "-5040", 12, "0x1.999999999999ap-5", "0x1.94133fcaa5aabp-6"),
 ]
 PINNED_DOMINANCE = [
     ((20, 8, 11), 275, 266, 266, 275),
     ((20, 8, 12), 275, 266, 266, 273),
     ((64, 16, 11), 291, 289, 289, 291),
     ((64, 16, 12), 286, 286, 286, 286),
+    ((200, 8, 11), 285, 283, 283, 284),
+    ((200, 8, 12), 289, 284, 284, 288),
 ]
 
 
@@ -308,6 +330,73 @@ def test_pinned_dominance_streams(args, distinct, certified, certified_ok, disti
         "certified_sign_ok": certified_ok,
         "distinct_sign_ok": distinct_ok,
     }
+
+
+def test_factorials_by_running_product():
+    table = _factorials(300)
+    assert len(table) == 301
+    assert all(f == math.factorial(k) for k, f in enumerate(table))
+    assert _factorials(2) == [1, 1, 2]
+
+
+def _factorial_pairs(k):
+    f = math.factorial(k)
+    return [f, -(f - 1), -f, f - 1, 1, -1, math.factorial(k - 1)]
+
+
+@st.composite
+def _sign_cases(draw):
+    """Tables, steps and levels built to put S_k - shift at or near zero.
+
+    Entries 2^p + o with |o| at most the float spacing at 2^p round when
+    converted, and small entries then tip the rounded sums across zero;
+    2^62 in the table keeps the walk past the int64 bound even when a path
+    only uses entries below 2^53.
+    """
+    kind = draw(st.sampled_from(["near_power", "factorial_pairs", "factorial", "random"]))
+    if kind == "near_power":
+        big = 2 ** draw(st.integers(53, 64))
+        ulp = big >> 52
+        offsets = st.integers(-ulp, ulp)
+        table = [big + o for o in draw(st.lists(offsets, min_size=1, max_size=4))]
+        table += [-(big + o) for o in draw(st.lists(offsets, min_size=1, max_size=4))]
+        table += draw(st.lists(offsets, min_size=1, max_size=4)) + [2**62, 2**61 + 1, -(2**61)]
+    elif kind == "factorial_pairs":
+        table = _factorial_pairs(draw(st.integers(20, 60)))
+    elif kind == "factorial":
+        table = _signed_table(_factorials(draw(st.integers(150, 200))))
+    else:
+        table = draw(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=6))
+    # A few entries and their negations, so that paths cancel often.
+    palette = draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=6))
+    palette += [table.index(-table[i]) for i in palette if -table[i] in table]
+    samples = draw(st.sampled_from([1, 7, 64, 3000]))
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    code = rng.choice(np.array(palette), (samples, n))
+    # A shift equal to a reachable sum forces exact zeros.
+    k = draw(st.integers(1, n))
+    reachable = sum(table[c] for c in code[rng.integers(samples), :k])
+    near = st.integers(-(2**12), 2**12).map(lambda o: reachable + o)
+    shift = draw(near | st.just(reachable) | st.just(0))
+    return table, code, shift, draw(st.integers(1, n))
+
+
+# Ten steps near 2^60 whose rounded running sum ends 1545 above the exact
+# one, more than u times the sum of the magnitudes: an error bound without
+# its factor k would certify the wrong sign at a shift one above the sum.
+_SWING = [2**60 + o for o in (135, 133, 172, 15, -252)]
+_SWING += [-(2**60 + o) for o in (132, 230, 237, 120, -123)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_sign_cases())
+@example(case=(_SWING, np.arange(10)[None, :], sum(_SWING) + 1, 1))
+def test_signs_equal_exact_partial_sums(case):
+    table, code, shift, first = case
+    got = np.array(list(_signs(table, code, shift, first)), dtype=np.int64)
+    exact = [np.sign(col - shift) for col in _partial_sums(table, code, shift)]
+    assert np.array_equal(got, np.array(exact[first - 1 :], dtype=np.int64))
 
 
 def test_levels_beyond_int64_stay_exact():
