@@ -129,6 +129,8 @@ def gram_matrix(kernel: KernelSpec, support: Sequence[RationalLike]) -> GramMatr
 
 
 def _check_cap(size: int, cap: int) -> None:
+    if not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"cap must be a positive integer, got {cap}")
     if size > cap:
         raise ResourceLimit(
             f"matrix size {size} exceeds the subset-enumeration cap {cap}"

@@ -15,8 +15,8 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate
+from functools import cache, cached_property, partial
+from itertools import accumulate, repeat
 from math import gcd, lcm
 from typing import Iterable, Optional, Tuple
 
@@ -58,6 +58,11 @@ class _Scaled:
         i = bisect_left(self.values, lo)
         j = bisect_right(self.values, hi)
         return self.prefix[j] - self.prefix[i] if j > i else 0
+
+    def joint(self, level: Fraction) -> Tuple[int, int]:
+        """(k, t): atom i at values[i] * k / L and the level at t / L, L = lcm(scale, its den)."""
+        scale = lcm(self.scale, level.denominator)
+        return scale // self.scale, level.numerator * (scale // level.denominator)
 
 
 @dataclass(frozen=True)
@@ -115,10 +120,11 @@ class DiscreteDist:
         )
 
 
-def _exact(atoms: Tuple[Atom, ...]) -> DiscreteDist:
-    """A law from atoms a kernel built sorted, positive and summing to one, not re-validated."""
+def _from_ints(scale: int, den: int, pairs: Iterable[Tuple[int, int]]) -> DiscreteDist:
+    """Mass w / den at v / scale for the sorted pairs (v, w) a kernel built; not re-validated."""
+    mass = cache(partial(Fraction, denominator=den))  # atoms of equal weight share one Fraction
     d = object.__new__(DiscreteDist)
-    object.__setattr__(d, "atoms", atoms)
+    object.__setattr__(d, "atoms", tuple((Fraction(v, scale), mass(w)) for v, w in pairs))
     return d
 
 
@@ -168,13 +174,13 @@ def uniform_range(lo: int, hi: int) -> DiscreteDist:
     limit = support_cap()
     if hi - lo + 1 > limit:
         raise ResourceLimit(f"uniform range spans {hi - lo + 1} sites, over the cap of {limit}")
-    w = Fraction(1, hi - lo + 1)
-    return _exact(tuple((Fraction(v), w) for v in range(lo, hi + 1)))
+    return _from_ints(1, hi - lo + 1, zip(range(lo, hi + 1), repeat(1)))
 
 
 def negate(d: DiscreteDist) -> DiscreteDist:
     """Law of -X."""
-    return _exact(tuple((-v, w) for v, w in reversed(d.atoms)))
+    s = d._scaled
+    return _from_ints(s.scale, s.den, zip((-v for v in reversed(s.values)), reversed(s.weights)))
 
 
 def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
@@ -189,9 +195,7 @@ def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
         for y, w in ys:
             v = x + y
             acc[v] = acc.get(v, 0) + m * w
-    den = sa.den * sb.den
-    atoms = sorted(acc.items())
-    return _exact(tuple((Fraction(v, scale), Fraction(w, den)) for v, w in atoms))
+    return _from_ints(scale, sa.den * sb.den, sorted(acc.items()))
 
 
 def symmetrize(d: DiscreteDist) -> DiscreteDist:
@@ -201,11 +205,11 @@ def symmetrize(d: DiscreteDist) -> DiscreteDist:
 
 def abs_dist(d: DiscreteDist) -> DiscreteDist:
     """Law of |X|."""
-    acc: dict[Fraction, Fraction] = {}
-    for v, w in d.atoms:
-        a = abs(v)
-        acc[a] = acc.get(a, Fraction(0)) + w
-    return DiscreteDist(tuple(sorted(acc.items())))
+    s = d._scaled
+    acc: dict[int, int] = {}
+    for v, w in zip(s.values, s.weights):
+        acc[abs(v)] = acc.get(abs(v), 0) + w
+    return _from_ints(s.scale, s.den, sorted(acc.items()))
 
 
 def interval_prob(
@@ -272,18 +276,16 @@ class LatticeDist:
     def prob(self, v: RationalLike) -> Fraction:
         """Mass at the single point v, zero off the lattice."""
         t = (as_rational(v) - self.origin) / self.step
-        if t.denominator != 1:
-            return Fraction(0)
         i = t.numerator
-        if 0 <= i < len(self.numerators):
+        if t.denominator == 1 and 0 <= i < len(self.numerators):
             return Fraction(self.numerators[i], self.denominator)
         return Fraction(0)
 
     def to_dist(self) -> DiscreteDist:
         scale = lcm(self.origin.denominator, self.step.denominator)
-        x0, g, den = int(self.origin * scale), int(self.step * scale), self.denominator
-        atoms = enumerate(self.numerators)
-        return _exact(tuple((Fraction(x0 + i * g, scale), Fraction(n, den)) for i, n in atoms if n))
+        x0, g = int(self.origin * scale), int(self.step * scale)
+        sites = ((x0 + i * g, n) for i, n in enumerate(self.numerators) if n)
+        return _from_ints(scale, self.denominator, sites)
 
 
 def _check_sites(size: int) -> None:

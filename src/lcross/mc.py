@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm, sqrt
+from math import sqrt
 from operator import mul
 from typing import Iterator, List, Optional, Tuple, Union
 
@@ -234,13 +234,6 @@ def _signed_table(magnitudes: List[int]) -> List[int]:
     return [-v for v in magnitudes] + magnitudes
 
 
-def _scaled_int_values(d: DiscreteDist, level: Fraction) -> Tuple[List[int], int]:
-    """Clear denominators jointly: integer step values and level numerator."""
-    s = d._scaled
-    den = lcm(s.scale, level.denominator)
-    return [x * (den // s.scale) for x in s.values], level.numerator * (den // level.denominator)
-
-
 def _coerce_level(level: LevelLike) -> Fraction:
     if isinstance(level, float):
         return Fraction(level)
@@ -382,7 +375,8 @@ def _path_signs(
     level_q = _coerce_level(level)
     if s.kind == "from_dist":
         assert s.dist is not None
-        table, shift = _scaled_int_values(s.dist, level_q)
+        k, shift = s.dist._scaled.joint(level_q)
+        table = [x * k for x in s.dist._scaled.values]
         code = _draw_indices(rng, _float_cumulative(s.dist.weights), (samples, n))
     else:
         shift = level_q.numerator

@@ -18,7 +18,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import lcm, sqrt
+from math import sqrt
 from typing import Iterator, List, Optional, Tuple
 
 from .dist import DEFAULT_MAX_SUPPORT, MAX_SUPPORT_ENV, support_cap  # re-exported
@@ -153,25 +153,26 @@ def _step_lattice(spec: WalkSpec) -> LatticeDist:
     return step_lat
 
 
-def _scan(step_lat: LatticeDist, level: Fraction, last: int) -> Iterator[Tuple[int, ...]]:
+def _scan(spec: WalkSpec, step_lat: LatticeDist, last: int) -> Iterator[Tuple[int, ...]]:
     """Yield (n, den, cross, dom, at_level, at_zero) for n = 1..last, numerators over den = D^n.
 
-    cross and dom give p_n and P(|S_{n-1}| <= |X_n|), at_level and at_zero
-    S_n's masses at the level and at 0.  Positions are integers over `scale`:
-    step site j at x0 + j*g, the level at l, site i of S_n at n*x0 + i*g.  A
-    step v != 0 changes the sign of x - l exactly when x lies between l - v
-    and l, ends included, so p_n and the domination bound are masses of
-    S_{n-1} in windows inside Q, the hull of them, l and 0.  S_n is kept only
-    on R_n, Q widened by what last - n more steps can cover: R_n - [x0, v_max]
-    lies in R_{n-1}, so the shifted adds restricted to R_n are exact there.
+    cross and dom give p_n and P(|S_{n-1}| <= |X_n|), at_level and at_zero S_n's masses
+    at the level and at 0.  Positions are integers over the lcm of the step law's value
+    scale and the level's denominator (`_Scaled.joint`): step site j at x0 + j*g, the
+    level at l, site i of S_n at n*x0 + i*g.  A step v != 0 changes the sign of x - l
+    exactly when x lies between l - v and l, ends included, so p_n and the domination
+    bound are masses of S_{n-1} in windows inside Q, the hull of them, l and 0.  S_n is
+    kept only on R_n, Q widened by what last - n more steps can cover:
+    R_n - [x0, v_max] lies in R_{n-1}, so the shifted adds restricted to R_n are exact there.
     """
-    scale = lcm(step_lat.origin.denominator, step_lat.step.denominator, level.denominator)
-    x0, g, l = (int(q * scale) for q in (step_lat.origin, step_lat.step, level))
+    s = spec.step._scaled
+    k, l = s.joint(spec.level)
     width = len(step_lat) - 1
-    v_max = x0 + width * g
+    x0, v_max = s.values[0] * k, s.values[-1] * k
+    g = (v_max - x0) // width if width else s.scale * k  # a point mass has step one
     reach = max(v_max, -x0)  # max |v|
     q_lo, q_hi = min(l - v_max, l, -reach), max(l - x0, l, reach)
-    atoms = [(x0 + j * g, m) for j, m in enumerate(step_lat.numerators) if m]
+    atoms = [(x * k, m) for x, m in zip(s.values, s.weights)]
     cur, lo, den, prefix, base = [1], 0, 1, [0, 1], 0  # S_0, the point mass at 0
     for n in range(1, last + 1):
         cross = sum(m * _window(prefix, base, g, *sorted((l, l - v))) for v, m in atoms if v)
@@ -179,7 +180,7 @@ def _scan(step_lat: LatticeDist, level: Fraction, last: int) -> Iterator[Tuple[i
         i_lo = max(-((n * x0 + (last - n) * max(v_max, 0) - q_lo) // g), 0)
         i_hi = min((q_hi - (last - n) * min(x0, 0) - n * x0) // g, n * width)
         cur, lo = _shift_add(cur, lo, step_lat.numerators, i_lo, i_hi), i_lo
-        den *= step_lat.denominator
+        den *= s.den
         prefix, base = [0, *accumulate(cur)], n * x0 + lo * g
         yield n, den, cross, dom, _window(prefix, base, g, l, l), _window(prefix, base, g, 0, 0)
 
@@ -195,7 +196,7 @@ def crossing_prob(spec: WalkSpec, n: int) -> Fraction:
     """Exact P(sgn(S_n - l) != sgn(S_{n-1} - l))."""
     if not isinstance(n, int) or not 1 <= n <= spec.horizon:
         raise ValueError(f"n must be in 1..{spec.horizon}, got {n}")
-    for _, den, cross, _, _, _ in _scan(_step_lattice(spec), spec.level, n):
+    for _, den, cross, _, _, _ in _scan(spec, _step_lattice(spec), n):
         pass
     return Fraction(cross, den)
 
@@ -208,7 +209,7 @@ def dominated_crossing_bound(spec: WalkSpec, n: int) -> Fraction:
         raise ValueError(f"n must be an integer >= 2, got {n}")
     if n > spec.horizon:
         raise ValueError(f"n must be at most the horizon {spec.horizon}, got {n}")
-    for _, den, _, dom, _, _ in _scan(_step_lattice(spec), spec.level, n):
+    for _, den, _, dom, _, _ in _scan(spec, _step_lattice(spec), n):
         pass
     return Fraction(dom, den)
 
@@ -231,7 +232,7 @@ def expected_sign_changes(spec: WalkSpec) -> Fraction:
     """Exact expected number of sign changes up to the horizon, E[N_N]."""
     if spec.level != 0:
         raise NotApplicable("sign-change counting is defined for level 0 only")
-    rows = _scan(_step_lattice(spec), spec.level, spec.horizon)
+    rows = _scan(spec, _step_lattice(spec), spec.horizon)
     return sum((Fraction(cross, den) for _, den, cross, *_ in rows), Fraction(0))
 
 
@@ -247,10 +248,10 @@ def crossing_table(spec: WalkSpec) -> CrossingReport:
     step_lat = _step_lattice(spec)
     symmetric = spec.step.is_symmetric()
     at_zero_level = spec.level == 0
-    z = int(step_lat.prob(0) * step_lat.denominator)  # P(X = 0)^n = z^n / den
+    z = spec.step._scaled.window(0, 0)  # P(X = 0)^n = z^n / den
     z_pow = 1
     rows = []
-    for n, den, cross, dom, at_level, at_zero in _scan(step_lat, spec.level, spec.horizon):
+    for n, den, cross, dom, at_level, at_zero in _scan(spec, step_lat, spec.horizon):
         p = Fraction(cross, den)
         atom_at_level = Fraction(at_level, den)
         zero_mass = Fraction(at_zero, den)

@@ -172,6 +172,9 @@ def test_dichotomy_cap(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps({"support": [0, 2, 4], "kernel": "123"}))
     assert run(["dichotomy", "--input", str(path), "--cap", "2"]) == 2
     assert "cap" in capsys.readouterr().err
+    for cap in ("0", "-1"):
+        assert run(["dichotomy", "--input", str(path), "--cap", cap]) == 2
+        assert capsys.readouterr().err == f"error: cap must be a positive integer, got {cap}\n"
 
     def no_gram(*args):
         raise AssertionError("the Gram matrix was built before the cap check")
@@ -315,9 +318,53 @@ _OVERSIZED = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(_OVERSIZED)
-def test_oversized_arguments_exit_2_with_one_line(argv):
+# Malformed inputs, each an input error.  A dict stands for a JSON file holding it.
+_MALFORMED = st.one_of(
+    st.builds(
+        lambda hi, k: ["crossing", "--dist", f"uniform{{{hi + k}..{hi}}}"],
+        st.integers(-(10**12), 10**12),
+        st.integers(1, 10**12),
+    ),
+    st.builds(
+        lambda level: ["crossing", "--dist", "rademacher", f"--level={level}"],
+        st.sampled_from(["1/0", "-3/0", "nan", "inf", "-inf"]),
+    ),
+    st.builds(
+        lambda w: ["crossing", "--dist", {"atoms": [{"v": "0", "w": "1"}, {"v": "1", "w": w}]}],
+        st.sampled_from(["-1", "-1/3", "-1000000"]),
+    ),
+    st.builds(
+        lambda doc: ["dichotomy", "--input", doc],
+        st.sampled_from(
+            [
+                {"support": [0, 1], "kernel": "nope"},  # unknown kernel
+                {"support": [0, 1, 0], "kernel": "sym2"},  # duplicate support points
+                {"support": [0, 1], "kernel": {"table": [[1, 2], [3]]}},  # ragged table
+                {"support": [], "kernel": "sym2"},
+            ]
+        ),
+    ),
+    st.builds(
+        lambda cap: ["dichotomy", "--input", {"support": [0, 2], "kernel": "123"}, f"--cap={cap}"],
+        st.integers(-(10**6), 0),
+    ),
+    st.builds(
+        lambda w: ["lemma1", "--dist", "rademacher", f"--window={w}"], st.integers(-(10**6), 0)
+    ),
+    st.builds(lambda n: ["ratio", f"--family-n={n}"], st.integers(-(10**6), 0)),
+    st.builds(
+        lambda n: ["mc", "--sampler", "rademacher", f"--n={n}", "--samples", 100],
+        st.integers(-(10**6), 0),
+    ),
+    st.builds(
+        lambda t: ["mc", "--sampler", "factorial_heavy", "--n", 3, f"--trunc={t}"],
+        st.integers(-(10**6), 1),
+    ),
+)
+
+
+def _assert_one_line_error(argv):
+    """Run argv under a support cap of 1000: exit 2 and one `error: ` line on stderr."""
     argv = [str(a) for a in argv]
     err = io.StringIO()
     with mock.patch.dict(os.environ, {"LCROSS_MAX_SUPPORT": "1000"}):
@@ -327,6 +374,22 @@ def test_oversized_arguments_exit_2_with_one_line(argv):
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_OVERSIZED)
+def test_oversized_arguments_exit_2_with_one_line(argv):
+    _assert_one_line_error(argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_MALFORMED)
+def test_malformed_inputs_exit_2_with_one_line(tmp_path_factory, argv):
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            argv[i] = tmp_path_factory.mktemp("malformed") / "input.json"
+            argv[i].write_text(json.dumps(arg))
+    _assert_one_line_error(argv)
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -211,6 +211,14 @@ def test_resource_cap():
         simplex_qp_min(small, cap=1)
 
 
+def test_cap_below_one_is_an_input_error():
+    small = gram_from_table([[0, 0], [0, 0]])
+    for solve in (dichotomy_check, first_alternative, simplex_qp_min):
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match=f"cap must be a positive integer, got {cap}$"):
+                solve(small, cap=cap)
+
+
 def test_problem_json_parsing():
     m = problem_from_json_dict({"support": ["-1", "1"], "kernel": "sym2"})
     assert m.entries == ((F(2), F(-1)), (F(-1), F(2)))

@@ -67,7 +67,8 @@ def test_kernel_built_laws_pass_validation():
     for _ in range(20):
         a, b = _random_dist(rng, 5), _random_dist(rng, 5)
         lat = lattice_convolve(to_lattice(a), to_lattice(a))
-        for d in (convolve(a, b), negate(a), symmetrize(b), lat.to_dist(), uniform_range(-3, 4)):
+        built = (convolve(a, b), negate(a), symmetrize(b), lat.to_dist(), uniform_range(-3, 4))
+        for d in (*built, abs_dist(a), abs_dist(symmetrize(b))):  # +-x weights merge
             assert DiscreteDist(d.atoms) == d
 
 
@@ -199,7 +200,12 @@ def test_lattice_round_trip_on_random_laws():
     rng = random.Random(8)
     for _ in range(40):
         d = _random_dist(rng, 6)
-        assert to_lattice(d).to_dist() == d
+        lat = to_lattice(d)
+        assert lat.to_dist() == d
+        # Point masses on every site, empty or not, between sites and past both ends.
+        for i in range(-1, len(lat) + 1):
+            for v in (lat.value(i), lat.value(i) + lat.step / 2):
+                assert lat.prob(v) == d.prob(v)
 
 
 def _random_lattice(rng, step):
