@@ -70,7 +70,7 @@ def _cmd_crossing(args: argparse.Namespace) -> int:
     if match:
         lo, hi = int(match.group(1)), int(match.group(2))
         if hi - lo < support_cap():
-            # Refuse an over-cap horizon before the law's atoms are built;
+            # Refuse an over-cap horizon before the law is built;
             # an over-cap range is refused by uniform_range itself.
             _check_horizon(args.horizon, max(hi - lo, 0))
     d = _resolve_dist(args.dist)

@@ -2,10 +2,12 @@
 
 A law is a finite set of (value, weight) pairs with positive rational
 weights summing to one.  Everything here is exact: no floats are created
-or accepted.  Queries and convolutions read each law's cached integer form,
-values and weights over the lcms of their denominators.  The lattice form
-embeds a law into an arithmetic progression with integer weight numerators
-over one common denominator, the representation for iterated convolution.
+or accepted.  A law is stored as integers in lowest terms, values over one
+scale and weights over one denominator; queries and kernels read and build
+that form, and the Fraction atoms are a view built only when read.  The
+lattice form embeds a law into an arithmetic progression with integer
+weight numerators over one common denominator, the representation for
+iterated convolution.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import gcd, lcm
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import InvalidDistribution, InvalidInterval, ResourceLimit
 from .rationals import RationalLike, as_rational, format_rational
@@ -43,50 +45,46 @@ def support_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class _Scaled:
-    """Integer form of a law: atom i is values[i] / scale with mass weights[i] / den."""
+@dataclass(frozen=True, init=False, repr=False)
+class DiscreteDist:
+    """Immutable finite law: atom i is points[i] / scale with mass masses[i] / den.
+
+    Points increase strictly, masses are positive and sum to den, and both
+    are in lowest terms (gcd(scale, *points) = gcd(den, *masses) = 1), so
+    equal laws have equal fields and compare and hash alike.
+    """
 
     scale: int
-    values: Tuple[int, ...]
+    points: Tuple[int, ...]
     den: int
-    weights: Tuple[int, ...]
-    prefix: Tuple[int, ...]
+    masses: Tuple[int, ...]
 
-    def window(self, lo: int, hi: int) -> int:
-        """Weight numerator of the scaled values in the closed window [lo, hi]."""
-        i = bisect_left(self.values, lo)
-        j = bisect_right(self.values, hi)
-        return self.prefix[j] - self.prefix[i] if j > i else 0
-
-    def joint(self, level: Fraction) -> Tuple[int, int]:
-        """(k, t): atom i at values[i] * k / L and the level at t / L, L = lcm(scale, its den)."""
-        scale = lcm(self.scale, level.denominator)
-        return scale // self.scale, level.numerator * (scale // level.denominator)
-
-
-@dataclass(frozen=True)
-class DiscreteDist:
-    """Immutable finite law: atoms sorted by value, weights sum to one."""
-
-    atoms: Tuple[Atom, ...]
-
-    def __post_init__(self) -> None:
-        if not self.atoms:
+    def __init__(self, atoms: Iterable[Atom]) -> None:
+        """Validate (value, weight) Fraction pairs and store their integer form."""
+        atoms = tuple(atoms)
+        if not atoms:
             raise InvalidDistribution("a distribution needs at least one atom")
-        total = Fraction(0)
-        prev = None
-        for v, w in self.atoms:
+        for i, (v, w) in enumerate(atoms):
             if not isinstance(v, Fraction) or not isinstance(w, Fraction):
                 raise InvalidDistribution("atom entries must be Fractions")
             if w <= 0:
                 raise InvalidDistribution(f"weight at value {v} is not positive")
-            if prev is not None and v <= prev:
+            if i and v <= atoms[i - 1][0]:
                 raise InvalidDistribution("atom values must be strictly increasing")
-            prev = v
-            total += w
-        if total != 1:
-            raise InvalidDistribution(f"weights sum to {total}, expected 1")
+        # Over the lcms of their denominators the values and weights are in lowest terms.
+        scale = lcm(*(v.denominator for v, _ in atoms))
+        den = lcm(*(w.denominator for _, w in atoms))
+        masses = tuple(w.numerator * (den // w.denominator) for _, w in atoms)
+        if sum(masses) != den:
+            raise InvalidDistribution(f"weights sum to {Fraction(sum(masses), den)}, expected 1")
+        points = tuple(v.numerator * (scale // v.denominator) for v, _ in atoms)
+        self.__dict__.update(scale=scale, points=points, den=den, masses=masses, atoms=atoms)
+
+    @cached_property
+    def atoms(self) -> Tuple[Atom, ...]:
+        """(value, weight) pairs as Fractions, built on first read."""
+        mass = cache(partial(Fraction, denominator=self.den))  # equal masses share one Fraction
+        return tuple((Fraction(v, self.scale), mass(m)) for v, m in zip(self.points, self.masses))
 
     @property
     def values(self) -> Tuple[Fraction, ...]:
@@ -97,16 +95,25 @@ class DiscreteDist:
         return tuple(w for _, w in self.atoms)
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.points)
+
+    def __repr__(self) -> str:
+        return f"DiscreteDist(atoms={self.atoms!r})"
 
     @cached_property
-    def _scaled(self) -> _Scaled:
-        """Values and weights over the lcms of their denominators, built on first use."""
-        scale = lcm(*(v.denominator for v, _ in self.atoms))
-        den = lcm(*(w.denominator for _, w in self.atoms))
-        values = tuple(v.numerator * (scale // v.denominator) for v, _ in self.atoms)
-        weights = tuple(w.numerator * (den // w.denominator) for _, w in self.atoms)
-        return _Scaled(scale, values, den, weights, (0, *accumulate(weights)))
+    def _prefix(self) -> Tuple[int, ...]:
+        return (0, *accumulate(self.masses))
+
+    def window(self, lo: int, hi: int) -> int:
+        """Mass numerator of the points in the closed window [lo, hi]."""
+        i = bisect_left(self.points, lo)
+        j = bisect_right(self.points, hi)
+        return self._prefix[j] - self._prefix[i] if j > i else 0
+
+    def joint(self, level: Fraction) -> Tuple[int, int]:
+        """(k, t): atom i at points[i] * k / L and the level at t / L, L = lcm(scale, its den)."""
+        scale = lcm(self.scale, level.denominator)
+        return scale // self.scale, level.numerator * (scale // level.denominator)
 
     def prob(self, v: RationalLike) -> Fraction:
         """Mass at the single point v."""
@@ -114,17 +121,21 @@ class DiscreteDist:
 
     def is_symmetric(self) -> bool:
         """True when the law equals its reflection about zero, decided on the integer form."""
-        s = self._scaled
-        return s.weights == s.weights[::-1] and all(
-            x == -y for x, y in zip(s.values, reversed(s.values))
-        )
+        p = self.points
+        return self.masses == self.masses[::-1] and all(x == -y for x, y in zip(p, reversed(p)))
 
 
-def _from_ints(scale: int, den: int, pairs: Iterable[Tuple[int, int]]) -> DiscreteDist:
-    """Mass w / den at v / scale for the sorted pairs (v, w) a kernel built; not re-validated."""
-    mass = cache(partial(Fraction, denominator=den))  # atoms of equal weight share one Fraction
+def _lowest(q: int, xs: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
+    """q and xs divided by gcd(q, *xs)."""
+    g = gcd(q, *xs)
+    return (q // g, tuple(x // g for x in xs)) if g > 1 else (q, tuple(xs))
+
+
+def _from_ints(scale: int, points: Sequence[int], den: int, masses: Sequence[int]) -> DiscreteDist:
+    """Mass masses[i] / den at sorted points[i] / scale, in lowest terms; not re-validated."""
     d = object.__new__(DiscreteDist)
-    object.__setattr__(d, "atoms", tuple((Fraction(v, scale), mass(w)) for v, w in pairs))
+    (scale, points), (den, masses) = _lowest(scale, points), _lowest(den, masses)
+    d.__dict__.update(scale=scale, points=points, den=den, masses=masses)
     return d
 
 
@@ -142,13 +153,10 @@ def make_dist(pairs: Iterable[Tuple[RationalLike, RationalLike]]) -> DiscreteDis
         if w < 0:
             raise InvalidDistribution(f"negative weight {w} at value {v}")
         acc[v] = acc.get(v, Fraction(0)) + w
-    atoms = [(v, w) for v, w in acc.items() if w > 0]
-    if not atoms:
+    total = sum(acc.values())
+    if not total:
         raise InvalidDistribution("no atoms with positive weight")
-    total = sum(w for _, w in atoms)
-    atoms = [(v, w / total) for v, w in atoms]
-    atoms.sort(key=lambda a: a[0])
-    return DiscreteDist(tuple(atoms))
+    return DiscreteDist(sorted((v, w / total) for v, w in acc.items() if w))
 
 
 def point_mass(value: RationalLike) -> DiscreteDist:
@@ -174,28 +182,27 @@ def uniform_range(lo: int, hi: int) -> DiscreteDist:
     limit = support_cap()
     if hi - lo + 1 > limit:
         raise ResourceLimit(f"uniform range spans {hi - lo + 1} sites, over the cap of {limit}")
-    return _from_ints(1, hi - lo + 1, zip(range(lo, hi + 1), repeat(1)))
+    return _from_ints(1, range(lo, hi + 1), hi - lo + 1, (1,) * (hi - lo + 1))
 
 
 def negate(d: DiscreteDist) -> DiscreteDist:
     """Law of -X."""
-    s = d._scaled
-    return _from_ints(s.scale, s.den, zip((-v for v in reversed(s.values)), reversed(s.weights)))
+    return _from_ints(d.scale, [-v for v in reversed(d.points)], d.den, d.masses[::-1])
 
 
 def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
     """Law of X + Y for independent X ~ a, Y ~ b, summed in integers over one value scale."""
-    sa, sb = a._scaled, b._scaled
-    scale = lcm(sa.scale, sb.scale)
-    ka, kb = scale // sa.scale, scale // sb.scale
-    ys = [(y * kb, w) for y, w in zip(sb.values, sb.weights)]
+    scale = lcm(a.scale, b.scale)
+    ka, kb = scale // a.scale, scale // b.scale
+    ys = [(y * kb, w) for y, w in zip(b.points, b.masses)]
     acc: dict[int, int] = {}
-    for x, m in zip(sa.values, sa.weights):
+    for x, m in zip(a.points, a.masses):
         x *= ka
         for y, w in ys:
             v = x + y
             acc[v] = acc.get(v, 0) + m * w
-    return _from_ints(scale, sa.den * sb.den, sorted(acc.items()))
+    points = sorted(acc)
+    return _from_ints(scale, points, a.den * b.den, [acc[v] for v in points])
 
 
 def symmetrize(d: DiscreteDist) -> DiscreteDist:
@@ -205,11 +212,11 @@ def symmetrize(d: DiscreteDist) -> DiscreteDist:
 
 def abs_dist(d: DiscreteDist) -> DiscreteDist:
     """Law of |X|."""
-    s = d._scaled
     acc: dict[int, int] = {}
-    for v, w in zip(s.values, s.weights):
+    for v, w in zip(d.points, d.masses):
         acc[abs(v)] = acc.get(abs(v), 0) + w
-    return _from_ints(s.scale, s.den, sorted(acc.items()))
+    points = sorted(acc)
+    return _from_ints(d.scale, points, d.den, [acc[v] for v in points])
 
 
 def interval_prob(
@@ -224,15 +231,14 @@ def interval_prob(
     hi_q = None if hi is None else as_rational(hi)
     if lo_q is not None and hi_q is not None and lo_q > hi_q:
         raise InvalidInterval(f"reversed endpoints {lo_q} > {hi_q}")
-    s = d._scaled
-    # Scaled atoms are integers, so an end t/q becomes an integer bound:
+    # Points are integers, so an end t/q becomes an integer bound:
     # x > t/q iff x >= t//q + 1, and x >= t/q iff x > (t-1)/q; mirrored above.
-    lo_i, hi_i = s.values[0], s.values[-1]
+    lo_i, hi_i = d.points[0], d.points[-1]
     if lo_q is not None:
-        lo_i = (lo_q.numerator * s.scale - bool(lo_closed)) // lo_q.denominator + 1
+        lo_i = (lo_q.numerator * d.scale - bool(lo_closed)) // lo_q.denominator + 1
     if hi_q is not None:
-        hi_i = (hi_q.numerator * s.scale - (not hi_closed)) // hi_q.denominator
-    return Fraction(s.window(lo_i, hi_i), s.den)
+        hi_i = (hi_q.numerator * d.scale - (not hi_closed)) // hi_q.denominator
+    return Fraction(d.window(lo_i, hi_i), d.den)
 
 
 @dataclass(frozen=True)
@@ -283,9 +289,9 @@ class LatticeDist:
 
     def to_dist(self) -> DiscreteDist:
         scale = lcm(self.origin.denominator, self.step.denominator)
-        x0, g = int(self.origin * scale), int(self.step * scale)
-        sites = ((x0 + i * g, n) for i, n in enumerate(self.numerators) if n)
-        return _from_ints(scale, self.denominator, sites)
+        x0, g = (q.numerator * scale // q.denominator for q in (self.origin, self.step))
+        points = [x0 + i * g for i, n in enumerate(self.numerators) if n]
+        return _from_ints(scale, points, self.denominator, [n for n in self.numerators if n])
 
 
 def _check_sites(size: int) -> None:
@@ -301,15 +307,14 @@ def to_lattice(d: DiscreteDist) -> LatticeDist:
     step one by convention.  A law spanning more lattice sites than
     `support_cap()` raises ResourceLimit before any site is allocated.
     """
-    s = d._scaled
-    x0 = s.values[0]
-    g = gcd(*(x - x0 for x in s.values)) or s.scale
-    size = (s.values[-1] - x0) // g + 1
+    x0 = d.points[0]
+    g = gcd(*(x - x0 for x in d.points)) or d.scale
+    size = (d.points[-1] - x0) // g + 1
     _check_sites(size)
     nums = [0] * size
-    for x, m in zip(s.values, s.weights):
+    for x, m in zip(d.points, d.masses):
         nums[(x - x0) // g] = m
-    return LatticeDist(d.atoms[0][0], Fraction(g, s.scale), tuple(nums), s.den)
+    return LatticeDist(Fraction(x0, d.scale), Fraction(g, d.scale), tuple(nums), d.den)
 
 
 def _shift_add(a, off: int, b, lo: int, hi: int) -> list:
@@ -335,7 +340,7 @@ def lattice_convolve(a: LatticeDist, b: LatticeDist) -> LatticeDist:
     """
     if a.step != b.step:
         scale = lcm(a.step.denominator, b.step.denominator)
-        ga, gb = int(a.step * scale), int(b.step * scale)
+        ga, gb = (q.numerator * scale // q.denominator for q in (a.step, b.step))
         offsets = [i * ga for i, m in enumerate(a.numerators) if m]
         offsets += [j * gb for j, m in enumerate(b.numerators) if m]
         g = gcd(*offsets)
@@ -382,9 +387,7 @@ def dist_from_json_dict(obj: object) -> Tuple[DiscreteDist, bool]:
         except (TypeError, ValueError) as exc:
             raise InvalidDistribution(f'atom {k}: bad weight "w": {exc}') from exc
         pairs.append((v, w))
-    total = sum(w for _, w in pairs)
-    d = make_dist(pairs)
-    return d, total != 1
+    return make_dist(pairs), sum(w for _, w in pairs) != 1
 
 
 def to_json(d: DiscreteDist) -> str:

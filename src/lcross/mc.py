@@ -157,8 +157,9 @@ def _count_estimate(
     return McEstimate(estimand, mean, half, samples, seed, params)
 
 
-def _float_cumulative(weights: Tuple[Fraction, ...]) -> np.ndarray:
-    cum = np.cumsum(np.array([float(w) for w in weights], dtype=np.float64))
+def _float_cumulative(masses: Tuple[int, ...], den: int) -> np.ndarray:
+    # int / int is correctly rounded, so m / den is float(Fraction(m, den)) bit for bit.
+    cum = np.cumsum(np.array([m / den for m in masses], dtype=np.float64))
     cum[-1] = 1.0
     return cum
 
@@ -375,9 +376,9 @@ def _path_signs(
     level_q = _coerce_level(level)
     if s.kind == "from_dist":
         assert s.dist is not None
-        k, shift = s.dist._scaled.joint(level_q)
-        table = [x * k for x in s.dist._scaled.values]
-        code = _draw_indices(rng, _float_cumulative(s.dist.weights), (samples, n))
+        k, shift = s.dist.joint(level_q)
+        table = [x * k for x in s.dist.points]
+        code = _draw_indices(rng, _float_cumulative(s.dist.masses, s.dist.den), (samples, n))
     else:
         shift = level_q.numerator
         den = level_q.denominator
@@ -434,7 +435,7 @@ def mc_top_two_tie(pk_sampler: StepSampler, n: int, samples: int, seed: int) -> 
         cum = _index_cumulative(pk_sampler.trunc)
     else:
         assert pk_sampler.dist is not None
-        cum = _float_cumulative(pk_sampler.dist.weights)
+        cum = _float_cumulative(pk_sampler.dist.masses, pk_sampler.dist.den)
     idx = _draw_indices(rng, cum, (samples, n))
     top = np.sort(idx, axis=1)
     hits = int(np.count_nonzero(top[:, -1] == top[:, -2]))

@@ -92,19 +92,17 @@ def pair_abs_prob(d: DiscreteDist, c: RationalLike, mode: str) -> Fraction:
         raise ValueError(f"threshold must be nonnegative, got {c}")
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    s = d._scaled
     # Scaled pair sums are integers, so |x +- y| <= c is |X +- Y| <= floor(c * scale):
     # Y lies within k of -X for the sum and of X for the difference.
-    k = c.numerator * s.scale // c.denominator
+    k = c.numerator * d.scale // c.denominator
     sign = -1 if mode == "sum" else 1
-    total = sum(m * s.window(sign * x - k, sign * x + k) for x, m in zip(s.values, s.weights))
-    return Fraction(total, s.den * s.den)
+    total = sum(m * d.window(sign * x - k, sign * x + k) for x, m in zip(d.points, d.masses))
+    return Fraction(total, d.den * d.den)
 
 
 def ratio_scan(d: DiscreteDist) -> RatioReport:
     """Evaluate num, den, and their ratio at every breakpoint; report gamma."""
-    s = d._scaled
-    atoms = tuple(zip(s.values, s.weights))
+    atoms = tuple(zip(d.points, d.masses))
     # Scaled breakpoint -> [weight of |X+Y| there, weight of |X-Y| there].
     table: dict[int, List[int]] = {}
     for x, mx in atoms:
@@ -112,14 +110,14 @@ def ratio_scan(d: DiscreteDist) -> RatioReport:
             m = mx * my
             table.setdefault(abs(x + y), [0, 0])[0] += m
             table.setdefault(abs(x - y), [0, 0])[1] += m
-    total = s.den * s.den
+    total = d.den * d.den
     rows = []
     num = den = 0
     best_num, best_den, first = -1, 1, 0
     for i, c_int in enumerate(sorted(table)):
         num += table[c_int][0]
         den += table[c_int][1]
-        c = Fraction(c_int, s.scale)
+        c = Fraction(c_int, d.scale)
         if den <= 0:
             raise TheoremViolation(f"P(|X-Y| <= {c}) = 0, impossible for c >= 0")
         if num >= 2 * den:
@@ -158,9 +156,8 @@ def random_threshold_check(d: DiscreteDist, w: DiscreteDist) -> Tuple[Fraction, 
     the strict inequality, and c = 0 because P(X = -Y) <= P(X = Y) (sum of
     p(x) p(-x) against sum of p(x)^2, Cauchy-Schwarz).
     """
-    for v, _ in w.atoms:
-        if v < 0:
-            raise InvalidThreshold(f"threshold law has a negative atom at {v}")
+    if w.points[0] < 0:
+        raise InvalidThreshold(f"threshold law has a negative atom at {w.atoms[0][0]}")
     total_sum = Fraction(0)
     total_diff = Fraction(0)
     for c, weight in w.atoms:

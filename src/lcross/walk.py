@@ -158,21 +158,21 @@ def _scan(spec: WalkSpec, step_lat: LatticeDist, last: int) -> Iterator[Tuple[in
 
     cross and dom give p_n and P(|S_{n-1}| <= |X_n|), at_level and at_zero S_n's masses
     at the level and at 0.  Positions are integers over the lcm of the step law's value
-    scale and the level's denominator (`_Scaled.joint`): step site j at x0 + j*g, the
+    scale and the level's denominator (`DiscreteDist.joint`): step site j at x0 + j*g, the
     level at l, site i of S_n at n*x0 + i*g.  A step v != 0 changes the sign of x - l
     exactly when x lies between l - v and l, ends included, so p_n and the domination
     bound are masses of S_{n-1} in windows inside Q, the hull of them, l and 0.  S_n is
     kept only on R_n, Q widened by what last - n more steps can cover:
     R_n - [x0, v_max] lies in R_{n-1}, so the shifted adds restricted to R_n are exact there.
     """
-    s = spec.step._scaled
+    s = spec.step
     k, l = s.joint(spec.level)
     width = len(step_lat) - 1
-    x0, v_max = s.values[0] * k, s.values[-1] * k
+    x0, v_max = s.points[0] * k, s.points[-1] * k
     g = (v_max - x0) // width if width else s.scale * k  # a point mass has step one
     reach = max(v_max, -x0)  # max |v|
     q_lo, q_hi = min(l - v_max, l, -reach), max(l - x0, l, reach)
-    atoms = [(x * k, m) for x, m in zip(s.values, s.weights)]
+    atoms = [(x * k, m) for x, m in zip(s.points, s.masses)]
     cur, lo, den, prefix, base = [1], 0, 1, [0, 1], 0  # S_0, the point mass at 0
     for n in range(1, last + 1):
         cross = sum(m * _window(prefix, base, g, *sorted((l, l - v))) for v, m in atoms if v)
@@ -223,9 +223,8 @@ def concentration(d: DiscreteDist, lam: RationalLike) -> Fraction:
     lam = as_rational(lam)
     if lam < 0:
         raise ValueError(f"window width must be nonnegative, got {lam}")
-    s = d._scaled
-    width = lam.numerator * s.scale // lam.denominator
-    return Fraction(max(s.window(x, x + width) for x in s.values), s.den)
+    width = lam.numerator * d.scale // lam.denominator
+    return Fraction(max(d.window(x, x + width) for x in d.points), d.den)
 
 
 def expected_sign_changes(spec: WalkSpec) -> Fraction:
@@ -248,7 +247,7 @@ def crossing_table(spec: WalkSpec) -> CrossingReport:
     step_lat = _step_lattice(spec)
     symmetric = spec.step.is_symmetric()
     at_zero_level = spec.level == 0
-    z = spec.step._scaled.window(0, 0)  # P(X = 0)^n = z^n / den
+    z = spec.step.window(0, 0)  # P(X = 0)^n = z^n / den
     z_pow = 1
     rows = []
     for n, den, cross, dom, at_level, at_zero in _scan(spec, step_lat, spec.horizon):

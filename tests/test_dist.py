@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from lcross import (
     InvalidInterval,
     LatticeDist,
     ResourceLimit,
+    WalkSpec,
     abs_dist,
     convolve,
     from_json,
@@ -26,6 +28,7 @@ from lcross import (
     to_json,
     to_lattice,
     uniform_range,
+    walk_marginals,
 )
 from lcross.acceptance import _random_dist
 from lcross.rationals import as_rational
@@ -60,16 +63,42 @@ def test_direct_construction_validates_invariants():
         DiscreteDist(((F(0), F(1, 2)),))
 
 
+def _assert_canonical(d):
+    # Rebuilding a kernel's law through the validating constructor must accept
+    # its atoms and give the same lowest-terms fields.
+    rebuilt = DiscreteDist(d.atoms)
+    assert rebuilt == d and hash(rebuilt) == hash(d)
+    assert gcd(d.scale, *d.points) == 1 and gcd(d.den, *d.masses) == 1
+
+
 def test_kernel_built_laws_pass_validation():
-    # Kernel results skip re-validation; rebuilding them through the public
-    # constructor must accept the same atoms.
     rng = random.Random(12)
     for _ in range(20):
         a, b = _random_dist(rng, 5), _random_dist(rng, 5)
         lat = lattice_convolve(to_lattice(a), to_lattice(a))
         built = (convolve(a, b), negate(a), symmetrize(b), lat.to_dist(), uniform_range(-3, 4))
         for d in (*built, abs_dist(a), abs_dist(symmetrize(b))):  # +-x weights merge
-            assert DiscreteDist(d.atoms) == d
+            _assert_canonical(d)
+    # Scales and weights that cancel: 1/2 + 1/2 is an integer, 1/2 + 1/2 of mass is one.
+    half = make_dist([(F(-1, 2), 1), (F(1, 2), 1)])
+    cancelling = (
+        convolve(half, half),
+        symmetrize(half),
+        abs_dist(half),
+        abs_dist(rademacher()),
+        LatticeDist(F(1, 2), F(1, 2), (2, 4, 2), 8).to_dist(),
+        LatticeDist(F(0), F(3, 2), (3, 0, 3), 6).to_dist(),
+    )
+    for d in cancelling:
+        _assert_canonical(d)
+    assert (convolve(half, half).scale, abs_dist(half).masses) == (1, (1,))
+
+
+def test_construction_accepts_any_iterable():
+    atoms = [(F(0), F(1, 2)), (F(1), F(1, 2))]
+    d = make_dist([(0, 1), (1, 1)])
+    for built in (DiscreteDist(atoms), DiscreteDist(iter(atoms)), DiscreteDist(tuple(atoms))):
+        assert built == d and hash(built) == hash(d) and repr(built) == repr(d)
 
 
 def test_convolve_worked_examples():
@@ -177,13 +206,26 @@ def test_window_queries_match_brute_force():
             assert d.prob(v) == w
 
 
-def test_integer_form_is_lazy_and_invisible():
-    d = make_dist([(F(1, 2), 1), (F(-1, 3), 2)])
-    fresh = make_dist([(F(1, 2), 1), (F(-1, 3), 2)])
-    assert "_scaled" not in vars(d)
-    assert d.prob(F(1, 2)) == F(1, 3)
-    assert "_scaled" in vars(d)
-    assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+def test_fraction_atoms_are_lazy_and_invisible():
+    a = make_dist([(F(1, 2), 1), (F(-1, 3), 2)])
+    step = make_dist([(-1, 1), (0, 2), (3, 1)])
+    built = [
+        convolve(a, step),
+        negate(a),
+        symmetrize(a),
+        abs_dist(symmetrize(a)),
+        uniform_range(-3, 4),
+        to_lattice(a).to_dist(),
+        *walk_marginals(WalkSpec(step=step, horizon=3)),
+    ]
+    for d in built:
+        # Queries and kernels read the integer form only.
+        d.prob(F(1, 2)), interval_prob(d, 0, None), d.is_symmetric(), len(d), hash(d)
+        convolve(d, d), to_lattice(d)
+        assert "atoms" not in vars(d)
+        fresh = make_dist(d.atoms)
+        assert "atoms" in vars(d)
+        assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
 
 
 def test_to_lattice_worked_examples():

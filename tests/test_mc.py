@@ -223,6 +223,14 @@ def test_mc_top_two_tie_covers_exact_law():
         assert within_three_sigma(est, top_two_tie_prob(trunc, n)), (trunc, n)
 
 
+def test_finite_law_sampling_never_builds_fraction_atoms():
+    d = uniform_range(-5, 7)
+    mc_crossing(from_dist(d), 6, F(1, 2), 200, 3)
+    mc_sign_changes(from_dist(d), 6, 200, 3)
+    mc_top_two_tie(from_dist(d), 4, 200, 3)
+    assert "atoms" not in vars(d)
+
+
 def test_half_width_shrinks_with_samples():
     for seed in range(5):
         small = mc_crossing(from_dist(rademacher()), 3, 0, 10_000, seed)
@@ -479,17 +487,16 @@ class _Feed:
 def _skewed_cumulative():
     # 999 atoms share 1/1000 below one atom of 999/1000: the low buckets
     # hold hundreds of entries each, so draws there take the fallback.
-    return _float_cumulative((F(1, 999_000),) * 999 + (F(999, 1000),))
+    return _float_cumulative((1,) * 999 + (998_001,), 999_000)
 
 
 @lru_cache(maxsize=None)
 def _uniform_cumulative():
-    return _float_cumulative((F(1, 10**5),) * 10**5)
+    return _float_cumulative((1,) * 10**5, 10**5)
 
 
 def _weights_cumulative(raw):
-    total = sum(raw)
-    return _float_cumulative(tuple(F(w, total) for w in raw))
+    return _float_cumulative(tuple(raw), sum(raw))
 
 
 _CUMULATIVES = st.one_of(
