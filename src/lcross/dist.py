@@ -7,7 +7,11 @@ scale and weights over one denominator; queries and kernels read and build
 that form, and the Fraction atoms are a view built only when read.  The
 lattice form embeds a law into an arithmetic progression with integer
 weight numerators over one common denominator, the representation for
-iterated convolution.
+iterated convolution.  Its one convolution kernel, `_shift_add`, works on
+numerator vectors packed into one Python int each, a site per slot as wide
+as the largest numerator the product can hold (in whole bytes), so no slot
+ever carries into the next: each nonzero site of the sparser operand adds
+one shifted, scaled copy of the other, three big-integer operations in C.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Tuple
+from struct import iter_unpack
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InvalidDistribution, InvalidInterval, ResourceLimit
 from .rationals import RationalLike, as_rational, format_rational
@@ -294,6 +299,13 @@ class LatticeDist:
         return _from_ints(scale, points, self.denominator, [n for n in self.numerators if n])
 
 
+def _lattice(origin: Fraction, step: Fraction, nums: Tuple[int, ...], den: int) -> LatticeDist:
+    """A lattice built from valid operands by the kernels below; not re-validated."""
+    lat = object.__new__(LatticeDist)
+    lat.__dict__.update(origin=origin, step=step, numerators=nums, denominator=den)
+    return lat
+
+
 def _check_sites(size: int) -> None:
     limit = support_cap()
     if size > limit:
@@ -314,29 +326,54 @@ def to_lattice(d: DiscreteDist) -> LatticeDist:
     nums = [0] * size
     for x, m in zip(d.points, d.masses):
         nums[(x - x0) // g] = m
-    return LatticeDist(Fraction(x0, d.scale), Fraction(g, d.scale), tuple(nums), d.den)
+    return _lattice(Fraction(x0, d.scale), Fraction(g, d.scale), tuple(nums), d.den)
 
 
-def _shift_add(a, off: int, b, lo: int, hi: int) -> list:
-    """Sites lo..hi of a, on sites off, off + 1, ..., convolved with b, on sites 0, 1, ..."""
-    out = [0] * (hi - lo + 1)
-    for j, m in enumerate(b):
-        if m:
-            s = off + j - lo
-            t0, t1 = max(-s, 0), min(len(a), len(out) - s)
-            if t0 < t1:
-                out[s + t0 : s + t1] = [o + m * x for o, x in zip(out[s + t0 : s + t1], a[t0:t1])]
-    return out
+def _slot_bytes(bound: int) -> int:
+    """Bytes per packed slot: enough for every site numerator up to bound."""
+    return (bound.bit_length() + 7) // 8
+
+
+def _pack(nums: Iterable[int], wb: int) -> int:
+    """One int holding the i-th of nums in its wb-byte slot i, slot 0 lowest."""
+    buf = bytearray()
+    for raw in map(int.to_bytes, nums, repeat(wb), repeat("little")):
+        buf += raw
+    return int.from_bytes(buf, "little")
+
+
+def _unpack(x: int, wb: int, i: int, j: int) -> Iterator[int]:
+    """Slots i..j-1 of x, packed in wb-byte slots."""
+    size = max(j - i, 0) * wb
+    raw = ((x >> (8 * wb * i)) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    return map(int.from_bytes, chain.from_iterable(iter_unpack(f"{wb}s", raw)), repeat("little"))
+
+
+def _shift_add(x: int, off: int, y: Iterable[Tuple[int, int]], lo: int, hi: int, wb: int) -> int:
+    """Sites lo..hi, packed, of x * y: x's wb-byte slot t is site off + t, y yields (site, m).
+
+    One shifted, scaled copy of x per nonzero site of y; exact when every site numerator
+    of the product fits a slot, since no slot then carries into the next.
+    """
+    w, size = 8 * wb, hi - lo + 1
+    out = 0
+    for j, m in y:
+        s = off + j - lo
+        if m and s < size:
+            out += (x * m) << (s * w) if s >= 0 else (x >> (-s * w)) * m
+    return out & ((1 << (max(size, 0) * w)) - 1)
 
 
 def lattice_convolve(a: LatticeDist, b: LatticeDist) -> LatticeDist:
     """Exact convolution of two lattice laws.
 
-    On one step, each nonzero site of b adds a shifted, scaled copy of a's
-    numerators.  Laws on different steps are convolved as finite laws and
-    embedded by `to_lattice` on the coarsest step of the result's support,
-    the gcd of the two supports' steps; one above `support_cap()` sites
-    raises ResourceLimit before any pair is formed.
+    On one step the denser law is packed into one int, a site per slot wide
+    enough for the product's denominator, and each nonzero site of the
+    sparser law adds a shifted, scaled copy of it (`_shift_add`).  Laws on
+    different steps are convolved as finite laws and embedded by
+    `to_lattice` on the coarsest step of the result's support, the gcd of
+    the two supports' steps; one above `support_cap()` sites raises
+    ResourceLimit before any pair is formed.
     """
     if a.step != b.step:
         scale = lcm(a.step.denominator, b.step.denominator)
@@ -346,8 +383,12 @@ def lattice_convolve(a: LatticeDist, b: LatticeDist) -> LatticeDist:
         g = gcd(*offsets)
         _check_sites(((len(a) - 1) * ga + (len(b) - 1) * gb) // g + 1 if g else 1)
         return to_lattice(convolve(a.to_dist(), b.to_dist()))
-    out = _shift_add(a.numerators, 0, b.numerators, 0, len(a) + len(b) - 2)
-    return LatticeDist(a.origin + b.origin, a.step, tuple(out), a.denominator * b.denominator)
+    den, size = a.denominator * b.denominator, len(a) + len(b) - 1
+    wb = _slot_bytes(den)
+    # Pack the operand with more nonzero sites and loop over the other's.
+    wide, narrow = sorted((a.numerators, b.numerators), key=lambda t: t.count(0) - len(t))
+    out = _shift_add(_pack(wide, wb), 0, enumerate(narrow), 0, size - 1, wb)
+    return _lattice(a.origin + b.origin, a.step, tuple(_unpack(out, wb, 0, size)), den)
 
 
 def dist_to_json_dict(d: DiscreteDist) -> dict:

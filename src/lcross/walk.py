@@ -5,10 +5,11 @@ law and S_0 = 0.  A crossing of level l at time n is the event
 sgn(S_n - l) != sgn(S_{n-1} - l) with the three-valued sign (sgn(0) = 0),
 so touching the level exactly counts.  All probabilities are exact; the
 only floats are the sqrt(n)-scaled display columns.  The scan keeps each
-marginal on the step law's lattice, only at the sites from which a later
-window can still be reached, and answers the crossing and domination
-probabilities of every step as integer window sums over one prefix table of
-the previous marginal.
+marginal on the step law's lattice as one packed int (see `lcross.dist`),
+only at the sites from which a later window can still be reached, and
+answers the crossing and domination probabilities of every step as dot
+products of the step numerators with one prefix table of the previous
+marginal, built from the few slots the windows can touch.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import sqrt
+from operator import mul
 from typing import Iterator, List, Optional, Tuple
 
 from .dist import DEFAULT_MAX_SUPPORT, MAX_SUPPORT_ENV, support_cap  # re-exported
-from .dist import DiscreteDist, LatticeDist, _shift_add, lattice_convolve, to_lattice
+from .dist import DiscreteDist, LatticeDist, lattice_convolve, to_lattice
+from .dist import _pack, _shift_add, _slot_bytes, _unpack
 from .errors import NotApplicable, ResourceLimit
 from .rationals import RationalLike, as_rational, format_rational
 
@@ -125,11 +128,9 @@ def _flag_str(flag: Optional[bool]) -> str:
     return "true" if flag else "false"
 
 
-def _window(prefix: List[int], base: int, g: int, lo: int, hi: int) -> int:
-    """Weight numerator of the sites base + i*g in the closed window [lo, hi]."""
-    i = max(-((base - lo) // g), 0)
-    j = min((hi - base) // g, len(prefix) - 2)
-    return prefix[j + 1] - prefix[i] if j >= i else 0
+def _dot(nums, ext: List[int], i: int, j0: int, j1: int) -> int:
+    """Sum of nums[j] * ext[i + j] over j0 <= j < j1."""
+    return sum(map(mul, nums[j0:j1], ext[i + j0 : i + j1]))
 
 
 def _check_horizon(horizon: int, width: int) -> None:
@@ -164,25 +165,81 @@ def _scan(spec: WalkSpec, step_lat: LatticeDist, last: int) -> Iterator[Tuple[in
     bound are masses of S_{n-1} in windows inside Q, the hull of them, l and 0.  S_n is
     kept only on R_n, Q widened by what last - n more steps can cover:
     R_n - [x0, v_max] lies in R_{n-1}, so the shifted adds restricted to R_n are exact there.
+
+    S_n stays one packed int over the whole scan, a site per slot of `_slot_bytes(D^last)`
+    bytes, wide enough for every numerator of every marginal.  Each n unpacks only its
+    slots in Q into a prefix table, and as the step sites j run up, the windows' ends move
+    one table index per site; so each window sum over all step sites of one sign of v is a
+    dot product of the step numerators with a contiguous slice of the table, clamped at its
+    ends.  The product loops over the step's nonzero sites, or over S_{n-1}'s when it keeps
+    fewer sites than the step has nonzero ones.
     """
     s = spec.step
     k, l = s.joint(spec.level)
-    width = len(step_lat) - 1
+    nums = step_lat.numerators
+    rev, width = nums[::-1], len(nums) - 1
     x0, v_max = s.points[0] * k, s.points[-1] * k
     g = (v_max - x0) // width if width else s.scale * k  # a point mass has step one
     reach = max(v_max, -x0)  # max |v|
     q_lo, q_hi = min(l - v_max, l, -reach), max(l - x0, l, reach)
-    atoms = [(x * k, m) for x, m in zip(s.points, s.masses)]
-    cur, lo, den, prefix, base = [1], 0, 1, [0, 1], 0  # S_0, the point mass at 0
+    end = width + 1
+    # Step sites j < neg have v < 0, and sites j >= pos have v > 0.
+    neg = min(max(-(x0 // g), 0), end)
+    pos = min(max(-x0 // g + 1, 0), end)
+    m_neg, m_pos = sum(nums[:neg]), sum(nums[pos:])
+    wb = _slot_bytes(s.den**last)
+    nonzero = len(nums) - nums.count(0)
+    step_x = _pack(nums, wb)
+    # Each sum reads the table up from a start: the table index past the sites at or
+    # below a position t (the sites below t are those at or below t - 1), less `width`
+    # where the reads run down from t as j runs up; those run up the reversed numerators.
+    starts = [(l, 0), (l - 1, 0), (l - x0 - 1, width), (l - x0, width), (x0, 0), (-x0 - 1, width)]
+    starts += [(-x0, width), (x0 - 1, 0), (0, 0), (-1, 0)]
+
+    def table(prefix: List[int], base: int) -> Tuple[List[int], List[int]]:
+        """The prefix table padded by `end` copies of its ends, and its indices of `starts`.
+
+        A read covers at most `end` entries up from its start, so a start before the
+        padding (every read 0) or past the table (every read its total) is clamped to
+        the padding's first entry or the table's last, which reads the same values.
+        """
+        ext = [0] * end + prefix + [prefix[-1]] * end
+        top = len(prefix) + end - 1
+        ix = [(t - base) // g + 1 + end - d for t, d in starts]
+        return ext, [0 if i < 0 else top if i > top else i for i in ix]
+
+    cur, lo, hi, den = 1, 0, 0, 1  # S_0, the point mass at 0
+    ext, ix = table([0, 1], 0)
     for n in range(1, last + 1):
-        cross = sum(m * _window(prefix, base, g, *sorted((l, l - v))) for v, m in atoms if v)
-        dom = sum(m * _window(prefix, base, g, -abs(v), abs(v)) for v, m in atoms)
+        # le_t, lt_t: the starts for the sites at or below t and below t; lx = l - x0, mx = -x0.
+        le_l, lt_l, lt_lx, le_lx, le_x, lt_mx, le_mx, lt_x, _, _ = ix
+        # A step v > 0 crosses from [l - v, l], a step v < 0 from [l, l - v].
+        cross = (
+            ext[le_l] * m_pos
+            - _dot(rev, ext, lt_lx, 0, end - pos)
+            + _dot(rev, ext, le_lx, end - neg, end)
+            - ext[lt_l] * m_neg
+        )
+        # Window [-|v|, |v|]: [-v, v] for v >= 0, [v, -v] for v < 0.
+        dom = (
+            _dot(nums, ext, le_x, neg, end)
+            - _dot(rev, ext, lt_mx, 0, end - neg)
+            + _dot(rev, ext, le_mx, end - neg, end)
+            - _dot(nums, ext, lt_x, 0, neg)
+        )
         i_lo = max(-((n * x0 + (last - n) * max(v_max, 0) - q_lo) // g), 0)
         i_hi = min((q_hi - (last - n) * min(x0, 0) - n * x0) // g, n * width)
-        cur, lo = _shift_add(cur, lo, step_lat.numerators, i_lo, i_hi), i_lo
+        if hi - lo + 1 < nonzero:  # then S_{n-1} has fewer nonzero sites than the step
+            mine = enumerate(_unpack(cur, wb, 0, hi - lo + 1), lo)
+            cur = _shift_add(step_x, 0, mine, i_lo, i_hi, wb)
+        else:
+            cur = _shift_add(cur, lo, enumerate(nums), i_lo, i_hi, wb)
+        lo, hi = i_lo, i_hi
         den *= s.den
-        prefix, base = [0, *accumulate(cur)], n * x0 + lo * g
-        yield n, den, cross, dom, _window(prefix, base, g, l, l), _window(prefix, base, g, 0, 0)
+        a = max(-((n * x0 - q_lo) // g), lo)  # S_n's sites a..b lie in Q
+        b = min((q_hi - n * x0) // g, hi)
+        ext, ix = table([0, *accumulate(_unpack(cur, wb, a - lo, b - lo + 1))], n * x0 + a * g)
+        yield n, den, cross, dom, ext[ix[0]] - ext[ix[1]], ext[ix[8]] - ext[ix[9]]
 
 
 def walk_marginals(spec: WalkSpec) -> List[DiscreteDist]:

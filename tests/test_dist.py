@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcross import (
@@ -31,6 +31,7 @@ from lcross import (
     walk_marginals,
 )
 from lcross.acceptance import _random_dist
+from lcross.dist import _pack, _shift_add, _slot_bytes, _unpack
 from lcross.rationals import as_rational
 
 
@@ -307,6 +308,60 @@ def test_lattice_convolve_mixed_steps_respect_the_cap(monkeypatch):
     gapped = LatticeDist(F(0), F(1), (1, 0, 1), 2)
     out = lattice_convolve(gapped, LatticeDist(F(0), F(2), (1, 1), 2))
     assert (out.step, out.numerators, out.denominator) == (F(2), (1, 2, 1), 4)
+
+
+def test_public_lattice_validates_and_kernel_lattices_match_it():
+    for args, message in [
+        ((F(0), F(0), (1,), 1), "step must be positive"),
+        ((F(0), F(1), (1,), 0), "denominator must be positive"),
+        ((F(0), F(1), (), 1), "at least one site"),
+        ((F(0), F(1), (0, 1), 1), "end numerators"),
+        ((F(0), F(1), (2, -1, 1), 2), "nonnegative"),
+        ((F(0), F(1), (1, 1), 3), "sum to the denominator"),
+    ]:
+        with pytest.raises(InvalidDistribution, match=message):
+            LatticeDist(*args)
+    # Lattices the kernels build skip that check; they pass it all the same.
+    rng = random.Random(31)
+    for _ in range(20):
+        step = F(rng.randint(1, 3), rng.randint(1, 2))
+        a, b = _random_lattice(rng, step), _random_lattice(rng, step)
+        for out in (lattice_convolve(a, b), to_lattice(a.to_dist())):
+            assert LatticeDist(out.origin, out.step, out.numerators, out.denominator) == out
+
+
+_SLOT_NUMERATORS = st.one_of(st.integers(0, 3), st.sampled_from([255, 256, 2**16 - 1, 2**16]))
+
+
+@settings(max_examples=200, deadline=None)
+# One-site marginals at exactly den^n times point-mass steps of mass den: the
+# product fills its slot to the bound den^(n+1).
+@example(x=[255**3], y=[255], off=0, lo=0, span=0)
+@example(x=[2**24], y=[0, 2**8], off=-1, lo=0, span=0)
+@example(x=[3**5], y=[3], off=4, lo=-2, span=9)
+@example(x=[1, 0, 2], y=[3, 1], off=2, lo=5, span=-1)  # no site kept
+@given(
+    x=st.lists(_SLOT_NUMERATORS, min_size=1, max_size=10),
+    y=st.lists(_SLOT_NUMERATORS, min_size=1, max_size=10),
+    off=st.integers(-6, 6),
+    lo=st.integers(-10, 24),
+    span=st.integers(-3, 30),
+)
+def test_packed_kernel_matches_dict_convolution(x, y, off, lo, span):
+    # Sites lo..lo+span of x * y, x's numerator t at site off + t, y's j at site j.
+    exact: dict = {}
+    for t, p in enumerate(x):
+        for j, q in enumerate(y):
+            exact[off + t + j] = exact.get(off + t + j, 0) + p * q
+    hi = lo + span  # span < 0 keeps no site
+    wb = _slot_bytes(max(sum(x), 1) * max(sum(y), 1))  # no product site is larger
+    want = [exact.get(i, 0) for i in range(lo, hi + 1)]
+    # Either operand may be the packed one and the other the looped one; kept ranges
+    # start below and above the offset, so shifts of both signs run.
+    for packed, looped in ((x, y), (y, x)):
+        out = _shift_add(_pack(packed, wb), off, enumerate(looped), lo, hi, wb)
+        assert list(_unpack(out, wb, 0, span + 1)) == want
+        assert out < 1 << (8 * wb * max(span + 1, 0))
 
 
 def test_as_rational_refuses_runaway_exponents():

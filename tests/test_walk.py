@@ -181,7 +181,8 @@ def test_pruned_scan_matches_full_forward_recursion():
     negative = make_dist([(-5, 2), (-2, 1), (-1, 1)])
     halves = make_dist([(F(1, 2), 1), (F(3, 2), 1)])
     gapped = make_dist([(-3, 1), (0, 2), (3, 1)])
-    steps = [mixed, positive, negative, halves, gapped, point_mass(0), point_mass(F(-2, 3))]
+    skewed = make_dist([(0, 256), (1, 1)])  # P(S_n = 0) = 256^n / 257^n nearly fills a slot
+    steps = [mixed, positive, negative, halves, gapped, skewed, point_mass(0), point_mass(F(-2, 3))]
     for step, horizon in [(s, h) for s in steps for h in (1, 2, 9)] + [(mixed, 40), (negative, 40)]:
         lo, hi = step.values[0], step.values[-1]
         levels = {
@@ -215,10 +216,9 @@ def test_scan_work_shrinks_toward_the_last_row(monkeypatch):
     sites = []
     real = walk._shift_add
 
-    def counting(*args):
-        out = real(*args)
-        sites.append(len(out))
-        return out
+    def counting(x, off, y, lo, hi, wb):
+        sites.append(hi - lo + 1)  # the kept sites lo..hi of the packed product
+        return real(x, off, y, lo, hi, wb)
 
     monkeypatch.setattr(walk, "_shift_add", counting)
     step = make_dist([(-2, 1), (-1, 3), (0, 1), (1, 2), (2, 1)])
@@ -233,6 +233,20 @@ def test_scan_work_shrinks_toward_the_last_row(monkeypatch):
     crossing_table(WalkSpec(step=step, horizon=100))
     full = sum(4 * n + 1 for n in range(1, 101))
     assert sum(sites) < 0.6 * full
+
+
+def test_wide_uniform_laws_match_closed_forms():
+    # X uniform on 0..N, level 0: S_1 != 0 crosses, so p_1 = N/(N+1); at n = 2 only
+    # S_1 = 0 followed by X_2 > 0 crosses, so p_2 = N/(N+1)^2; and the domination bound
+    # P(S_1 <= X_2) = (1 + P(X_1 = X_2)) / 2 = (N+2) / (2(N+1)).
+    for big, horizon in ((10**5, 1), (2000, 2)):
+        spec = WalkSpec(step=uniform_range(0, big), horizon=horizon)
+        rows = crossing_table(spec).rows
+        assert [r.p for r in rows] == [F(big, (big + 1) ** n) for n in range(1, horizon + 1)]
+        assert rows[0].zero_mass == F(1, big + 1)
+        if horizon == 2:
+            assert dominated_crossing_bound(spec, 2) == F(big + 2, 2 * (big + 1))
+            assert rows[1].zero_mass == F(1, (big + 1) ** 2)
 
 
 def test_concentration():
