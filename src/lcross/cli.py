@@ -23,14 +23,13 @@ from .dist import (
     interval_prob,
     lazy,
     rademacher,
-    support_cap,
     uniform_range,
 )
 from .errors import InvalidDistribution, InvalidKernel, LcrossError, TheoremViolation
 from .mc import cauchy, factorial_heavy, from_dist, gaussian, mc_crossing, mc_sign_changes, mc_top_two_tie
 from .rationals import as_rational, format_rational
 from .symmetrization import optimality_family, ratio_scan
-from .walk import WalkSpec, _check_horizon, crossing_table
+from .walk import WalkSpec, crossing_table
 
 DEFAULT_SEED = 0
 
@@ -66,13 +65,6 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _cmd_crossing(args: argparse.Namespace) -> int:
-    match = _UNIFORM_RE.match(args.dist)
-    if match:
-        lo, hi = int(match.group(1)), int(match.group(2))
-        if hi - lo < support_cap():
-            # Refuse an over-cap horizon before the law is built;
-            # an over-cap range is refused by uniform_range itself.
-            _check_horizon(args.horizon, max(hi - lo, 0))
     d = _resolve_dist(args.dist)
     spec = WalkSpec(step=d, level=as_rational(args.level), horizon=args.horizon)
     report = crossing_table(spec)

@@ -4,10 +4,10 @@ A law is a finite set of (value, weight) pairs with positive rational
 weights summing to one.  Everything here is exact: no floats are created
 or accepted.  A law is stored as integers in lowest terms, values over one
 scale and weights over one denominator; queries and kernels read and build
-that form, and the Fraction atoms are a view built only when read.  The
-lattice form embeds a law into an arithmetic progression with integer
-weight numerators over one common denominator, the representation for
-iterated convolution.  Its one convolution kernel, `_shift_add`, works on
+that form, and the Fraction atoms are a view built only when read.  So is
+the dense view, the one place that puts a law on its coarsest arithmetic
+progression; `to_lattice` wraps it as the lattice form, the representation
+for iterated convolution.  Its one convolution kernel, `_shift_add`, works on
 numerator vectors packed into one Python int each, a site per slot as wide
 as the largest numerator the product can hold (in whole bytes), so no slot
 ever carries into the next: each nonzero site of the sparser operand adds
@@ -108,6 +108,23 @@ class DiscreteDist:
     @cached_property
     def _prefix(self) -> Tuple[int, ...]:
         return (0, *accumulate(self.masses))
+
+    @cached_property
+    def _dense(self) -> Tuple[int, int, Tuple[int, ...]]:
+        """(x0, g, nums): mass nums[i] / den at (x0 + i * g) / scale, built on first read.
+
+        The coarsest progression holding the points: g is the gcd of their
+        differences, and a point mass gets step one by convention.  A law spanning
+        more sites than `support_cap()` raises ResourceLimit before any is allocated.
+        """
+        x0 = self.points[0]
+        g = gcd(*(x - x0 for x in self.points)) or self.scale
+        size = (self.points[-1] - x0) // g + 1
+        _check_sites(size)
+        nums = [0] * size
+        for x, m in zip(self.points, self.masses):
+            nums[(x - x0) // g] = m
+        return x0, g, tuple(nums)
 
     def window(self, lo: int, hi: int) -> int:
         """Mass numerator of the points in the closed window [lo, hi]."""
@@ -286,11 +303,7 @@ class LatticeDist:
 
     def prob(self, v: RationalLike) -> Fraction:
         """Mass at the single point v, zero off the lattice."""
-        t = (as_rational(v) - self.origin) / self.step
-        i = t.numerator
-        if t.denominator == 1 and 0 <= i < len(self.numerators):
-            return Fraction(self.numerators[i], self.denominator)
-        return Fraction(0)
+        return self.to_dist().prob(v)
 
     def to_dist(self) -> DiscreteDist:
         scale = lcm(self.origin.denominator, self.step.denominator)
@@ -313,20 +326,9 @@ def _check_sites(size: int) -> None:
 
 
 def to_lattice(d: DiscreteDist) -> LatticeDist:
-    """Embed a law into its coarsest arithmetic progression.
-
-    The step is the gcd of successive value differences; a point mass gets
-    step one by convention.  A law spanning more lattice sites than
-    `support_cap()` raises ResourceLimit before any site is allocated.
-    """
-    x0 = d.points[0]
-    g = gcd(*(x - x0 for x in d.points)) or d.scale
-    size = (d.points[-1] - x0) // g + 1
-    _check_sites(size)
-    nums = [0] * size
-    for x, m in zip(d.points, d.masses):
-        nums[(x - x0) // g] = m
-    return _lattice(Fraction(x0, d.scale), Fraction(g, d.scale), tuple(nums), d.den)
+    """The law on its coarsest arithmetic progression: its dense view `d._dense`."""
+    x0, g, nums = d._dense
+    return _lattice(Fraction(x0, d.scale), Fraction(g, d.scale), nums, d.den)
 
 
 def _slot_bytes(bound: int) -> int:

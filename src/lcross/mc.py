@@ -22,10 +22,10 @@ reproducible and independent of parallelism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import sqrt
+from math import isfinite, sqrt
 from operator import mul
 from typing import Iterator, List, Optional, Tuple, Union
 
@@ -69,6 +69,9 @@ class StepSampler:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.kind == "from_dist" and self.dist is None:
             raise InvalidDistribution("from_dist sampler needs a distribution")
+        for name in ("mean", "sd", "location", "scale"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind == "gaussian" and not self.sd > 0:
             raise ValueError(f"gaussian sd must be positive, got {self.sd}")
         if self.kind == "cauchy" and not self.scale > 0:
@@ -122,14 +125,7 @@ class McEstimate:
     params: dict = field(default_factory=dict, compare=False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "estimand": self.estimand,
-            "mean": self.mean,
-            "half_width_95": self.half_width_95,
-            "samples": self.samples,
-            "seed": self.seed,
-            "params": self.params,
-        }
+        return asdict(self)
 
 
 def seeded_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -237,6 +233,8 @@ def _signed_table(magnitudes: List[int]) -> List[int]:
 
 def _coerce_level(level: LevelLike) -> Fraction:
     if isinstance(level, float):
+        if not isfinite(level):
+            raise ValueError(f"level must be finite, got {level}")
         return Fraction(level)
     return as_rational(level)
 
@@ -365,7 +363,7 @@ def _path_signs(
             steps = rng.normal(s.mean, s.sd, (samples, n))
         else:
             steps = s.location + s.scale * rng.standard_cauchy((samples, n))
-        lf = float(level) if isinstance(level, (int, float)) else float(as_rational(level))
+        lf = float(_coerce_level(level))
         sums = np.cumsum(steps.T, axis=0, out=np.empty((n, samples)))
         del steps  # free the draws before the signs are formed
         if first == 0:

@@ -5,7 +5,7 @@ law and S_0 = 0.  A crossing of level l at time n is the event
 sgn(S_n - l) != sgn(S_{n-1} - l) with the three-valued sign (sgn(0) = 0),
 so touching the level exactly counts.  All probabilities are exact; the
 only floats are the sqrt(n)-scaled display columns.  The scan keeps each
-marginal on the step law's lattice as one packed int (see `lcross.dist`),
+marginal on the step law's dense view as one packed int (see `lcross.dist`),
 only at the sites from which a later window can still be reached, and
 answers the crossing and domination probabilities of every step as dot
 products of the step numerators with one prefix table of the previous
@@ -23,8 +23,7 @@ from math import sqrt
 from operator import mul
 from typing import Iterator, List, Optional, Tuple
 
-from .dist import DEFAULT_MAX_SUPPORT, MAX_SUPPORT_ENV, support_cap  # re-exported
-from .dist import DiscreteDist, LatticeDist, lattice_convolve, to_lattice
+from .dist import DiscreteDist, lattice_convolve, support_cap, to_lattice
 from .dist import _pack, _shift_add, _slot_bytes, _unpack
 from .errors import NotApplicable, ResourceLimit
 from .rationals import RationalLike, as_rational, format_rational
@@ -133,13 +132,14 @@ def _dot(nums, ext: List[int], i: int, j0: int, j1: int) -> int:
     return sum(map(mul, nums[j0:j1], ext[i + j0 : i + j1]))
 
 
-def _check_horizon(horizon: int, width: int) -> None:
+def _check_horizon(spec: WalkSpec) -> None:
     """Refuse a horizon whose S_horizon spans more sites than the cap.
 
-    `width` is the step lattice's span in sites, so S_n spans n*width + 1.
+    The step law's dense view spans width + 1 sites, so S_n spans n*width + 1.
     """
+    width = len(spec.step._dense[2]) - 1
     limit = support_cap()
-    if horizon * width + 1 > limit:
+    if spec.horizon * width + 1 > limit:
         # S_n spans n*width + 1 sites; name the first n over the cap.
         raise ResourceLimit(
             f"marginal support at n={(limit - 1) // width + 1} exceeds the cap of "
@@ -147,24 +147,18 @@ def _check_horizon(horizon: int, width: int) -> None:
         )
 
 
-def _step_lattice(spec: WalkSpec) -> LatticeDist:
-    """The step law's lattice; refused up front when S_horizon spans more sites than the cap."""
-    step_lat = to_lattice(spec.step)
-    _check_horizon(spec.horizon, len(step_lat) - 1)
-    return step_lat
-
-
-def _scan(spec: WalkSpec, step_lat: LatticeDist, last: int) -> Iterator[Tuple[int, ...]]:
+def _scan(spec: WalkSpec, last: int) -> Iterator[Tuple[int, ...]]:
     """Yield (n, den, cross, dom, at_level, at_zero) for n = 1..last, numerators over den = D^n.
 
     cross and dom give p_n and P(|S_{n-1}| <= |X_n|), at_level and at_zero S_n's masses
     at the level and at 0.  Positions are integers over the lcm of the step law's value
-    scale and the level's denominator (`DiscreteDist.joint`): step site j at x0 + j*g, the
-    level at l, site i of S_n at n*x0 + i*g.  A step v != 0 changes the sign of x - l
-    exactly when x lies between l - v and l, ends included, so p_n and the domination
-    bound are masses of S_{n-1} in windows inside Q, the hull of them, l and 0.  S_n is
-    kept only on R_n, Q widened by what last - n more steps can cover:
-    R_n - [x0, v_max] lies in R_{n-1}, so the shifted adds restricted to R_n are exact there.
+    scale and the level's denominator (`DiscreteDist.joint`): site j of the step law's
+    dense view at x0 + j*g, the level at l, site i of S_n at n*x0 + i*g.  A step v != 0
+    changes the sign of x - l exactly when x lies between l - v and l, ends included,
+    so p_n and the domination bound are masses of S_{n-1} in windows inside Q, the hull
+    of them, l and 0.  S_n is kept only on R_n, Q widened by what last - n more steps
+    can cover: R_n - [x0, v_max] lies in R_{n-1}, so the shifted adds restricted to R_n
+    are exact there.
 
     S_n stays one packed int over the whole scan, a site per slot of `_slot_bytes(D^last)`
     bytes, wide enough for every numerator of every marginal.  Each n unpacks only its
@@ -176,10 +170,9 @@ def _scan(spec: WalkSpec, step_lat: LatticeDist, last: int) -> Iterator[Tuple[in
     """
     s = spec.step
     k, l = s.joint(spec.level)
-    nums = step_lat.numerators
+    x0, g, nums = s._dense
     rev, width = nums[::-1], len(nums) - 1
-    x0, v_max = s.points[0] * k, s.points[-1] * k
-    g = (v_max - x0) // width if width else s.scale * k  # a point mass has step one
+    x0, g, v_max = x0 * k, g * k, (x0 + width * g) * k
     reach = max(v_max, -x0)  # max |v|
     q_lo, q_hi = min(l - v_max, l, -reach), max(l - x0, l, reach)
     end = width + 1
@@ -244,7 +237,8 @@ def _scan(spec: WalkSpec, step_lat: LatticeDist, last: int) -> Iterator[Tuple[in
 
 def walk_marginals(spec: WalkSpec) -> List[DiscreteDist]:
     """Exact laws of S_1..S_horizon (S_0 is the implicit point mass at 0)."""
-    step_lat = _step_lattice(spec)
+    _check_horizon(spec)
+    step_lat = to_lattice(spec.step)
     marginals = accumulate(repeat(step_lat, spec.horizon - 1), lattice_convolve, initial=step_lat)
     return [cur.to_dist() for cur in marginals]
 
@@ -253,7 +247,8 @@ def crossing_prob(spec: WalkSpec, n: int) -> Fraction:
     """Exact P(sgn(S_n - l) != sgn(S_{n-1} - l))."""
     if not isinstance(n, int) or not 1 <= n <= spec.horizon:
         raise ValueError(f"n must be in 1..{spec.horizon}, got {n}")
-    for _, den, cross, _, _, _ in _scan(spec, _step_lattice(spec), n):
+    _check_horizon(spec)
+    for _, den, cross, _, _, _ in _scan(spec, n):
         pass
     return Fraction(cross, den)
 
@@ -266,7 +261,8 @@ def dominated_crossing_bound(spec: WalkSpec, n: int) -> Fraction:
         raise ValueError(f"n must be an integer >= 2, got {n}")
     if n > spec.horizon:
         raise ValueError(f"n must be at most the horizon {spec.horizon}, got {n}")
-    for _, den, _, dom, _, _ in _scan(spec, _step_lattice(spec), n):
+    _check_horizon(spec)
+    for _, den, _, dom, _, _ in _scan(spec, n):
         pass
     return Fraction(dom, den)
 
@@ -288,7 +284,8 @@ def expected_sign_changes(spec: WalkSpec) -> Fraction:
     """Exact expected number of sign changes up to the horizon, E[N_N]."""
     if spec.level != 0:
         raise NotApplicable("sign-change counting is defined for level 0 only")
-    rows = _scan(spec, _step_lattice(spec), spec.horizon)
+    _check_horizon(spec)
+    rows = _scan(spec, spec.horizon)
     return sum((Fraction(cross, den) for _, den, cross, *_ in rows), Fraction(0))
 
 
@@ -301,13 +298,13 @@ def crossing_table(spec: WalkSpec) -> CrossingReport:
     same regime, decided exactly by squaring; domination_ok checks
     p_n <= P(|S_{n-1}| <= |X_n|) at level 0 for n >= 2.
     """
-    step_lat = _step_lattice(spec)
+    _check_horizon(spec)
     symmetric = spec.step.is_symmetric()
     at_zero_level = spec.level == 0
     z = spec.step.window(0, 0)  # P(X = 0)^n = z^n / den
     z_pow = 1
     rows = []
-    for n, den, cross, dom, at_level, at_zero in _scan(spec, step_lat, spec.horizon):
+    for n, den, cross, dom, at_level, at_zero in _scan(spec, spec.horizon):
         p = Fraction(cross, den)
         atom_at_level = Fraction(at_level, den)
         zero_mass = Fraction(at_zero, den)

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from lcross import acceptance, factorial_heavy, mc_top_two_tie, top_two_tie_prob
+from lcross import factorial_heavy, mc_top_two_tie, top_two_tie_prob
 from lcross.acceptance import (
     CROSSING_NS,
     TIE_NS,
@@ -117,33 +117,6 @@ def test_heavy_tail_scaled_trends_decrease():
 
 def test_mean_sign_changes_stay_below_partial_sum_bound():
     check(10)
-
-
-def test_check_seconds_cover_their_own_work(monkeypatch):
-    # Fill both shared caches cheaply, as an earlier check or caller would.
-    monkeypatch.setattr(acceptance.walk, "crossing_table", lambda spec: "stale")
-    monkeypatch.setattr(acceptance.mc, "mc_crossing", lambda *args: "stale")
-    monkeypatch.setattr(acceptance.mc, "mc_top_two_tie", lambda *args: "stale")
-    acceptance._symmetric_reports()
-    acceptance.heavy_tail_trends()
-    cached = []
-
-    def probe():
-        cached.append(
-            (
-                acceptance._symmetric_reports.cache_info().currsize,
-                acceptance.heavy_tail_trends.cache_info().currsize,
-            )
-        )
-        return True, "probe"
-
-    monkeypatch.setattr(acceptance, "_CRITERIA", [(0, "probe", probe, 1.0)])
-    try:
-        assert run_criterion(0).passed
-    finally:
-        acceptance._symmetric_reports.cache_clear()
-        acceptance.heavy_tail_trends.cache_clear()
-    assert cached == [(0, 0)]
 
 
 def test_random_dist_refuses_more_atoms_than_values():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lcross.acceptance as acceptance
-import lcross.cli as cli
+import lcross.walk as walk
 from lcross.acceptance import CriterionResult
 from lcross.cli import run
 
@@ -94,10 +94,10 @@ def test_crossing_rejects_bad_inputs(tmp_path, capsys):
     assert "n=1000000 exceeds the cap" in err and len(err.strip().splitlines()) == 1
 
 
-def test_uniform_horizon_refused_before_the_law_is_built(monkeypatch, capsys):
+def test_uniform_horizon_refused_before_the_scan(monkeypatch, capsys):
     # uniform{0..999999} fits the default cap of 10^6 sites, but S_2 spans
-    # 1999999 of them; the refusal must come before uniform_range runs.
-    monkeypatch.setattr(cli, "uniform_range", lambda lo, hi: pytest.fail("law built"))
+    # 1999999 of them; the walk refuses the horizon before its first step.
+    monkeypatch.setattr(walk, "_scan", lambda spec, last: pytest.fail("scan started"))
     assert run(["crossing", "--dist", "uniform{0..999999}", "--horizon", "2"]) == 2
     err = capsys.readouterr().err
     assert err == "error: marginal support at n=2 exceeds the cap of 1000000 lattice sites\n"
@@ -352,6 +352,13 @@ _MALFORMED = st.one_of(
         lambda w: ["lemma1", "--dist", "rademacher", f"--window={w}"], st.integers(-(10**6), 0)
     ),
     st.builds(lambda n: ["ratio", f"--family-n={n}"], st.integers(-(10**6), 0)),
+    st.builds(
+        lambda sampler, x: ["mc", "--sampler", sampler[0], f"--{sampler[1]}={x}", "--n", 4],
+        st.sampled_from(
+            [("gaussian", "mean"), ("gaussian", "sd"), ("cauchy", "location"), ("cauchy", "scale")]
+        ),
+        st.sampled_from(["nan", "inf", "-inf"]),
+    ),
     st.builds(
         lambda n: ["mc", "--sampler", "rademacher", f"--n={n}", "--samples", 100],
         st.integers(-(10**6), 0),

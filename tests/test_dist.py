@@ -241,10 +241,18 @@ def test_to_lattice_worked_examples():
 
 def test_lattice_round_trip_on_random_laws():
     rng = random.Random(8)
-    for _ in range(40):
-        d = _random_dist(rng, 6)
+    laws = [_random_dist(rng, 6) for _ in range(40)]
+    laws += [point_mass(7), point_mass(F(-5, 3)), make_dist([(F(1, 6), 1), (F(5, 4), 2)])]
+    for d in laws:
         lat = to_lattice(d)
         assert lat.to_dist() == d
+        # The lattice is the law's dense view, on the coarsest step holding its values:
+        # their offsets are integer multiples of it with gcd one (a point mass has step one).
+        x0, g, nums = d._dense
+        assert (lat.origin, lat.step, lat.numerators) == (F(x0, d.scale), F(g, d.scale), nums)
+        offsets = [(v - lat.origin) / lat.step for v in d.values]
+        assert all(q.denominator == 1 for q in offsets)
+        assert gcd(*(q.numerator for q in offsets)) == 1 or (len(d), lat.step) == (1, 1)
         # Point masses on every site, empty or not, between sites and past both ends.
         for i in range(-1, len(lat) + 1):
             for v in (lat.value(i), lat.value(i) + lat.step / 2):

@@ -72,6 +72,10 @@ def test_sampler_validation():
         factorial_heavy(1)
     with pytest.raises(ValueError):
         factorial_heavy(2.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        for make in (gaussian, lambda x: gaussian(sd=x), cauchy, lambda x: cauchy(scale=x)):
+            with pytest.raises(ValueError, match="must be finite"):
+                make(bad)
     assert from_dist(rademacher()).describe() == {"kind": "from_dist", "atoms": 2}
     assert gaussian(1, 2).describe() == {"kind": "gaussian", "mean": 1.0, "sd": 2.0}
     assert factorial_heavy(8).describe() == {"kind": "factorial_heavy", "trunc": 8}
@@ -90,6 +94,11 @@ def test_estimator_input_validation():
     ):
         with pytest.raises(ValueError):
             call()
+    # Every sampler coerces its level the same way, and refuses a non-finite one.
+    for s in (gaussian(), cauchy(), r):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="level must be finite"):
+                mc_crossing(s, 4, bad, 1000, 0)
 
 
 def test_mc_crossing_worked_examples():

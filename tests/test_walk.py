@@ -295,6 +295,22 @@ def test_walk_spec_validation():
         WalkSpec(step=rademacher(), horizon=0)
 
 
+def test_scan_reads_the_step_law_not_its_lattice(monkeypatch):
+    # The scan and the horizon check read the law's own dense view; no LatticeDist is built.
+    steps = (make_dist([(-1, 1), (F(1, 2), 2)]), point_mass(F(2, 3)), lazy())
+    specs = [WalkSpec(step=d, horizon=6) for d in steps]
+
+    def results(spec):
+        n = spec.horizon
+        rows = crossing_table(spec)
+        bound = dominated_crossing_bound(spec, n)
+        return rows, crossing_prob(spec, n), bound, expected_sign_changes(spec)
+
+    expected = [results(spec) for spec in specs]
+    monkeypatch.setattr(walk, "to_lattice", lambda d: pytest.fail("lattice built"))
+    assert [results(WalkSpec(step=make_dist(s.step.atoms), horizon=6)) for s in specs] == expected
+
+
 def test_resource_cap(monkeypatch):
     monkeypatch.setenv("LCROSS_MAX_SUPPORT", "10")
     # Refused up front at the first n whose marginal spans more sites than the cap.
