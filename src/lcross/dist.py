@@ -303,7 +303,10 @@ class LatticeDist:
 
     def prob(self, v: RationalLike) -> Fraction:
         """Mass at the single point v, zero off the lattice."""
-        return self.to_dist().prob(v)
+        k = (as_rational(v) - self.origin) / self.step
+        if k.denominator == 1 and 0 <= k < len(self.numerators):
+            return Fraction(self.numerators[k.numerator], self.denominator)
+        return Fraction(0)
 
     def to_dist(self) -> DiscreteDist:
         scale = lcm(self.origin.denominator, self.step.denominator)
@@ -351,6 +354,15 @@ def _unpack(x: int, wb: int, i: int, j: int) -> Iterator[int]:
     return map(int.from_bytes, chain.from_iterable(iter_unpack(f"{wb}s", raw)), repeat("little"))
 
 
+def _widen(x: int, wb: int, wider: int, size: int) -> int:
+    """x's slots 0..size-1, moved from wb-byte to wider-byte slots: one strided copy per byte."""
+    size = max(size, 0)
+    raw, out = x.to_bytes(size * wb, "little"), bytearray(size * wider)
+    for b in range(wb):
+        out[b::wider] = raw[b::wb]
+    return int.from_bytes(out, "little")
+
+
 def _shift_add(x: int, off: int, y: Iterable[Tuple[int, int]], lo: int, hi: int, wb: int) -> int:
     """Sites lo..hi, packed, of x * y: x's wb-byte slot t is site off + t, y yields (site, m).
 
@@ -363,7 +375,8 @@ def _shift_add(x: int, off: int, y: Iterable[Tuple[int, int]], lo: int, hi: int,
         s = off + j - lo
         if m and s < size:
             out += (x * m) << (s * w) if s >= 0 else (x >> (-s * w)) * m
-    return out & ((1 << (max(size, 0) * w)) - 1)
+    keep = max(size, 0) * w
+    return out & ((1 << keep) - 1) if out.bit_length() > keep else out
 
 
 def lattice_convolve(a: LatticeDist, b: LatticeDist) -> LatticeDist:

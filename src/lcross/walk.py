@@ -24,7 +24,7 @@ from operator import mul
 from typing import Iterator, List, Optional, Tuple
 
 from .dist import DiscreteDist, lattice_convolve, support_cap, to_lattice
-from .dist import _pack, _shift_add, _slot_bytes, _unpack
+from .dist import _pack, _shift_add, _slot_bytes, _unpack, _widen
 from .errors import NotApplicable, ResourceLimit
 from .rationals import RationalLike, as_rational, format_rational
 
@@ -160,13 +160,16 @@ def _scan(spec: WalkSpec, last: int) -> Iterator[Tuple[int, ...]]:
     can cover: R_n - [x0, v_max] lies in R_{n-1}, so the shifted adds restricted to R_n
     are exact there.
 
-    S_n stays one packed int over the whole scan, a site per slot of `_slot_bytes(D^last)`
-    bytes, wide enough for every numerator of every marginal.  Each n unpacks only its
-    slots in Q into a prefix table, and as the step sites j run up, the windows' ends move
-    one table index per site; so each window sum over all step sites of one sign of v is a
-    dot product of the step numerators with a contiguous slice of the table, clamped at its
-    ends.  The product loops over the step's nonzero sites, or over S_{n-1}'s when it keeps
-    fewer sites than the step has nonzero ones.
+    S_n stays one packed int over the whole scan, a site per slot of `_slot_bytes(D^cap)`
+    bytes.  cap starts at 1 and doubles, up to last, each time n passes it; S_{n-1} and
+    the packed step then move to the wider slots (`_widen`), about log2(last) times in
+    all.  Every numerator of S_n is at most D^n <= D^cap, so no slot carries, and an early
+    step works on slots about as narrow as its marginal's numerators rather than D^last's.
+    Each n unpacks only its slots in Q into a prefix table, and as the step sites j run
+    up, the windows' ends move one table index per site; so each window sum over all step
+    sites of one sign of v is a dot product of the step numerators with a contiguous slice
+    of the table, clamped at its ends.  The product loops over the step's nonzero sites,
+    or over S_{n-1}'s when it keeps fewer sites than the step has nonzero ones.
     """
     s = spec.step
     k, l = s.joint(spec.level)
@@ -180,7 +183,7 @@ def _scan(spec: WalkSpec, last: int) -> Iterator[Tuple[int, ...]]:
     neg = min(max(-(x0 // g), 0), end)
     pos = min(max(-x0 // g + 1, 0), end)
     m_neg, m_pos = sum(nums[:neg]), sum(nums[pos:])
-    wb = _slot_bytes(s.den**last)
+    cap, wb = 1, _slot_bytes(s.den)
     nonzero = len(nums) - nums.count(0)
     step_x = _pack(nums, wb)
     # Each sum reads the table up from a start: the table index past the sites at or
@@ -220,6 +223,12 @@ def _scan(spec: WalkSpec, last: int) -> Iterator[Tuple[int, ...]]:
             + _dot(rev, ext, le_mx, end - neg, end)
             - _dot(nums, ext, lt_x, 0, neg)
         )
+        if n > cap:  # widen the slots to hold D^cap, the largest numerator up to S_cap
+            cap = min(2 * cap, last)
+            wider = _slot_bytes(s.den**cap)
+            if wider > wb:
+                cur, step_x = _widen(cur, wb, wider, hi - lo + 1), _widen(step_x, wb, wider, end)
+                wb = wider
         i_lo = max(-((n * x0 + (last - n) * max(v_max, 0) - q_lo) // g), 0)
         i_hi = min((q_hi - (last - n) * min(x0, 0) - n * x0) // g, n * width)
         if hi - lo + 1 < nonzero:  # then S_{n-1} has fewer nonzero sites than the step
@@ -307,7 +316,7 @@ def crossing_table(spec: WalkSpec) -> CrossingReport:
     for n, den, cross, dom, at_level, at_zero in _scan(spec, spec.horizon):
         p = Fraction(cross, den)
         atom_at_level = Fraction(at_level, den)
-        zero_mass = Fraction(at_zero, den)
+        zero_mass = atom_at_level if at_zero_level else Fraction(at_zero, den)
         scaled = sqrt(n) * float(p)
         z_pow *= z
         slack = cross - 2 * at_zero

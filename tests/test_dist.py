@@ -239,11 +239,14 @@ def test_to_lattice_worked_examples():
     assert (lat.origin, lat.step, lat.weights) == (F(7), F(1), (F(1),))
 
 
-def test_lattice_round_trip_on_random_laws():
+def _lattice_laws():
     rng = random.Random(8)
     laws = [_random_dist(rng, 6) for _ in range(40)]
-    laws += [point_mass(7), point_mass(F(-5, 3)), make_dist([(F(1, 6), 1), (F(5, 4), 2)])]
-    for d in laws:
+    return laws + [point_mass(7), point_mass(F(-5, 3)), make_dist([(F(1, 6), 1), (F(5, 4), 2)])]
+
+
+def test_lattice_round_trip_on_random_laws():
+    for d in _lattice_laws():
         lat = to_lattice(d)
         assert lat.to_dist() == d
         # The lattice is the law's dense view, on the coarsest step holding its values:
@@ -253,10 +256,20 @@ def test_lattice_round_trip_on_random_laws():
         offsets = [(v - lat.origin) / lat.step for v in d.values]
         assert all(q.denominator == 1 for q in offsets)
         assert gcd(*(q.numerator for q in offsets)) == 1 or (len(d), lat.step) == (1, 1)
+
+
+def test_lattice_prob_reads_the_lattice(monkeypatch):
+    wide = uniform_range(0, 9999)
+    lattices = [(d, to_lattice(d)) for d in (*_lattice_laws(), wide)]
+    monkeypatch.setattr(LatticeDist, "to_dist", lambda lat: pytest.fail("law built"))
+    for d, lat in lattices[:-1]:
         # Point masses on every site, empty or not, between sites and past both ends.
-        for i in range(-1, len(lat) + 1):
-            for v in (lat.value(i), lat.value(i) + lat.step / 2):
+        for i in range(-2, len(lat) + 2):
+            for v in (lat.value(i), lat.value(i) + lat.step / 2, lat.value(i) + lat.step / 3):
                 assert lat.prob(v) == d.prob(v)
+    lat = lattices[-1][1]
+    for v in (-1, 0, "5", F(11, 2), 9999, 10000):
+        assert lat.prob(v) == wide.prob(v)
 
 
 def _random_lattice(rng, step):

@@ -175,41 +175,74 @@ def _forward(step, level, horizon):
     return rows
 
 
+MIXED = make_dist([(-2, 1), (1, 2), (3, 1)])
+NEGATIVE = make_dist([(-5, 2), (-2, 1), (-1, 1)])
+HALVES = make_dist([(F(1, 2), 1), (F(3, 2), 1)])
+SKEWED = make_dist([(0, 256), (1, 1)])  # P(S_n = 0) = 256^n / 257^n nearly fills a slot
+
+
+def _assert_scan_matches_forward(step, horizon):
+    lo, hi = step.values[0], step.values[-1]
+    levels = {
+        F(0),
+        hi,  # a site of S_1
+        2 * lo,  # a site of S_2
+        F(1, 7),  # off the lattice
+        lo * horizon,  # the ends of S_horizon's support
+        hi * horizon,
+        lo * horizon - 1,  # just past them
+        hi * horizon + 1,
+        F(1000),  # far above and below the support
+        F(-1000),
+    }
+    for level in sorted(levels):
+        spec = WalkSpec(step=step, level=level, horizon=horizon)
+        oracle = _forward(step, level, horizon)
+        rows = crossing_table(spec).rows
+        assert [(r.p, r.atom_at_level, r.zero_mass) for r in rows] == [
+            (p, at_level, at_zero) for p, _, at_level, at_zero in oracle
+        ]
+        assert [crossing_prob(spec, n) for n in range(1, horizon + 1)] == [o[0] for o in oracle]
+        if level == 0:
+            doms = [dominated_crossing_bound(spec, n) for n in range(2, horizon + 1)]
+            assert doms == [o[1] for o in oracle[1:]]
+            assert [r.domination_ok for r in rows[1:]] == [p <= d for p, d, _, _ in oracle[1:]]
+            assert expected_sign_changes(spec) == sum(o[0] for o in oracle)
+
+
 def test_pruned_scan_matches_full_forward_recursion():
-    mixed = make_dist([(-2, 1), (1, 2), (3, 1)])
     positive = make_dist([(1, 1), (2, 3), (4, 1)])
-    negative = make_dist([(-5, 2), (-2, 1), (-1, 1)])
-    halves = make_dist([(F(1, 2), 1), (F(3, 2), 1)])
     gapped = make_dist([(-3, 1), (0, 2), (3, 1)])
-    skewed = make_dist([(0, 256), (1, 1)])  # P(S_n = 0) = 256^n / 257^n nearly fills a slot
-    steps = [mixed, positive, negative, halves, gapped, skewed, point_mass(0), point_mass(F(-2, 3))]
-    for step, horizon in [(s, h) for s in steps for h in (1, 2, 9)] + [(mixed, 40), (negative, 40)]:
-        lo, hi = step.values[0], step.values[-1]
-        levels = {
-            F(0),
-            hi,  # a site of S_1
-            2 * lo,  # a site of S_2
-            F(1, 7),  # off the lattice
-            lo * horizon,  # the ends of S_horizon's support
-            hi * horizon,
-            lo * horizon - 1,  # just past them
-            hi * horizon + 1,
-            F(1000),  # far above and below the support
-            F(-1000),
-        }
-        for level in sorted(levels):
-            spec = WalkSpec(step=step, level=level, horizon=horizon)
-            oracle = _forward(step, level, horizon)
-            rows = crossing_table(spec).rows
-            assert [(r.p, r.atom_at_level, r.zero_mass) for r in rows] == [
-                (p, at_level, at_zero) for p, _, at_level, at_zero in oracle
-            ]
-            assert [crossing_prob(spec, n) for n in range(1, horizon + 1)] == [o[0] for o in oracle]
-            if level == 0:
-                doms = [dominated_crossing_bound(spec, n) for n in range(2, horizon + 1)]
-                assert doms == [o[1] for o in oracle[1:]]
-                assert [r.domination_ok for r in rows[1:]] == [p <= d for p, d, _, _ in oracle[1:]]
-                assert expected_sign_changes(spec) == sum(o[0] for o in oracle)
+    steps = [MIXED, positive, NEGATIVE, HALVES, gapped, SKEWED, point_mass(0), point_mass(F(-2, 3))]
+    for step, horizon in [(s, h) for s in steps for h in (1, 2, 9)] + [(MIXED, 40), (NEGATIVE, 40)]:
+        _assert_scan_matches_forward(step, horizon)
+
+
+def test_scan_matches_forward_recursion_across_slot_widenings():
+    # The slots widen when n passes 1, 2, 4, 8, 16, 32: horizons on both sides of a doubling.
+    for step in (SKEWED, MIXED, HALVES):
+        for horizon in (15, 16, 17, 33):
+            _assert_scan_matches_forward(step, horizon)
+
+
+def test_scan_slots_fit_the_marginal_not_the_horizon(monkeypatch):
+    widths = []
+    real = walk._shift_add
+
+    def recording(x, off, y, lo, hi, wb):
+        widths.append(wb)
+        return real(x, off, y, lo, hi, wb)
+
+    monkeypatch.setattr(walk, "_shift_add", recording)
+    for step, horizon in ((SKEWED, 100), (MIXED, 70), (rademacher(), 300)):
+        widths.clear()
+        crossing_table(WalkSpec(step=step, horizon=horizon))
+        # One product per n, on slots for at least D^n and at most D^(2n).
+        den = step.den
+        assert len(widths) == horizon
+        for n, wb in enumerate(widths, 1):
+            assert walk._slot_bytes(den**n) <= wb <= walk._slot_bytes(den ** (2 * n))
+        assert widths == sorted(widths)
 
 
 def test_scan_work_shrinks_toward_the_last_row(monkeypatch):
