@@ -10,9 +10,22 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import partial
+from math import gcd
 from typing import Union
 
 RationalLike = Union[int, str, Fraction]
+
+# A Fraction from a numerator and denominator already coprime, without the gcd:
+# a classmethod from 3.12, a keyword before it, the plain constructor otherwise.
+try:
+    _coprime = Fraction._from_coprime_ints
+except AttributeError:
+    try:
+        Fraction(1, 1, _normalize=False)
+        _coprime = partial(Fraction, _normalize=False)
+    except TypeError:
+        _coprime = Fraction
 
 # Fraction("1e999999999") would compute 10**999999999, so exponents beyond
 # Python's digit limit on integer strings (or its default, if off) are refused.
@@ -51,3 +64,27 @@ def format_rational(q: Fraction) -> str:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
+
+def over_power(x: int, den: int, base: int) -> Fraction:
+    """x / den in lowest terms, for x >= 0 and den a power of base >= 1.
+
+    A prime common to x and den divides base, so the gcd is found against a power of
+    base near 2^60, m = base**k, rather than against den: t = gcd(x mod m, m), cut to
+    what is left of den, is divided out, and the next round takes t for m, since any
+    prime still common divides it.  A t equal to m means x holds all of m, and then t
+    is the whole gcd(x, den).  The rounds stop at t = 1, so an x with no prime of base
+    costs one big-integer remainder and one word-sized gcd; a den up to m, one gcd.
+    """
+    if not x:
+        return _coprime(0, 1)
+    m = base ** max(60 // base.bit_length(), 1)
+    if den <= m:  # then Fraction's own gcd is word-sized
+        return Fraction(x, den)
+    while den > 1:
+        t = gcd(x % m, m)
+        if t > 1:
+            t = gcd(x, den) if t == m else gcd(t, den)
+        if t == 1:
+            break
+        x, den, m = x // t, den // t, t
+    return _coprime(x, den)

@@ -4,29 +4,30 @@ The walk is S_n = X_1 + ... + X_n with i.i.d. steps from a finite rational
 law and S_0 = 0.  A crossing of level l at time n is the event
 sgn(S_n - l) != sgn(S_{n-1} - l) with the three-valued sign (sgn(0) = 0),
 so touching the level exactly counts.  All probabilities are exact; the
-only floats are the sqrt(n)-scaled display columns.  The scan keeps each
-marginal on the step law's dense view as one packed int (see `lcross.dist`),
-only at the sites from which a later window can still be reached, and
-answers the crossing and domination probabilities of every step as dot
-products of the step numerators with one prefix table of the previous
-marginal, built from the few slots the windows can touch.
+only floats are the sqrt(n)-scaled display columns.  One engine keeps each
+marginal on the step law's dense view as one packed int (see `lcross.dist`):
+`walk_marginals` reads it whole; the scan keeps only the sites from which a
+later window can be reached, and answers each step's crossing and domination
+probabilities as two dot products with weights fixed by the law and level.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from math import sqrt
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterator, List, Optional, Tuple
 
-from .dist import DiscreteDist, lattice_convolve, support_cap, to_lattice
-from .dist import _pack, _shift_add, _slot_bytes, _unpack, _widen
+# lattice_convolve and to_lattice stay bound: perfbench/spans.py traces them in this namespace.
+from .dist import DiscreteDist, lattice_convolve, support_cap, to_lattice  # noqa: F401
+from .dist import _from_ints, _pack, _shift_add, _slot_bytes, _unpack, _widen
 from .errors import NotApplicable, ResourceLimit
-from .rationals import RationalLike, as_rational, format_rational
+from .rationals import RationalLike, as_rational, format_rational, over_power
 
 
 @dataclass(frozen=True)
@@ -127,9 +128,9 @@ def _flag_str(flag: Optional[bool]) -> str:
     return "true" if flag else "false"
 
 
-def _dot(nums, ext: List[int], i: int, j0: int, j1: int) -> int:
-    """Sum of nums[j] * ext[i + j] over j0 <= j < j1."""
-    return sum(map(mul, nums[j0:j1], ext[i + j0 : i + j1]))
+def _clip(v: int, top: int) -> int:
+    """v clamped into 0..top."""
+    return 0 if v < 0 else top if v > top else v
 
 
 def _check_horizon(spec: WalkSpec) -> None:
@@ -147,85 +148,25 @@ def _check_horizon(spec: WalkSpec) -> None:
         )
 
 
-def _scan(spec: WalkSpec, last: int) -> Iterator[Tuple[int, ...]]:
-    """Yield (n, den, cross, dom, at_level, at_zero) for n = 1..last, numerators over den = D^n.
+def _powers(
+    x0: int, g: int, nums: Tuple[int, ...], base: int, last: int, q_lo: int, q_hi: int
+) -> Iterator[Tuple[int, ...]]:
+    """Yield (n, den, S_n, lo, hi, wb): S_n's sites lo..hi over den = base^n, packed.
 
-    cross and dom give p_n and P(|S_{n-1}| <= |X_n|), at_level and at_zero S_n's masses
-    at the level and at 0.  Positions are integers over the lcm of the step law's value
-    scale and the level's denominator (`DiscreteDist.joint`): site j of the step law's
-    dense view at x0 + j*g, the level at l, site i of S_n at n*x0 + i*g.  A step v != 0
-    changes the sign of x - l exactly when x lies between l - v and l, ends included,
-    so p_n and the domination bound are masses of S_{n-1} in windows inside Q, the hull
-    of them, l and 0.  S_n is kept only on R_n, Q widened by what last - n more steps
-    can cover: R_n - [x0, v_max] lies in R_{n-1}, so the shifted adds restricted to R_n
-    are exact there.
-
-    S_n stays one packed int over the whole scan, a site per slot of `_slot_bytes(D^cap)`
-    bytes.  cap starts at 1 and doubles, up to last, each time n passes it; S_{n-1} and
-    the packed step then move to the wider slots (`_widen`), about log2(last) times in
-    all.  Every numerator of S_n is at most D^n <= D^cap, so no slot carries, and an early
-    step works on slots about as narrow as its marginal's numerators rather than D^last's.
-    Each n unpacks only its slots in Q into a prefix table, and as the step sites j run
-    up, the windows' ends move one table index per site; so each window sum over all step
-    sites of one sign of v is a dot product of the step numerators with a contiguous slice
-    of the table, clamped at its ends.  The product loops over the step's nonzero sites,
-    or over S_{n-1}'s when it keeps fewer sites than the step has nonzero ones.
+    Step site j lies at x0 + j*g with mass nums[j] / base, S_n's site i at n*x0 + i*g in
+    wb-byte slot i - lo.  S_n is kept on R_n, the sites that can reach [q_lo, q_hi] in the
+    remaining last - n steps, so the shifted adds on R_n are exact: R_n - [x0, v_max] lies
+    in R_{n-1}.  Slots hold base^cap, cap doubling up to last as n passes it (`_widen`).
     """
-    s = spec.step
-    k, l = s.joint(spec.level)
-    x0, g, nums = s._dense
-    rev, width = nums[::-1], len(nums) - 1
-    x0, g, v_max = x0 * k, g * k, (x0 + width * g) * k
-    reach = max(v_max, -x0)  # max |v|
-    q_lo, q_hi = min(l - v_max, l, -reach), max(l - x0, l, reach)
-    end = width + 1
-    # Step sites j < neg have v < 0, and sites j >= pos have v > 0.
-    neg = min(max(-(x0 // g), 0), end)
-    pos = min(max(-x0 // g + 1, 0), end)
-    m_neg, m_pos = sum(nums[:neg]), sum(nums[pos:])
-    cap, wb = 1, _slot_bytes(s.den)
-    nonzero = len(nums) - nums.count(0)
+    end, nonzero = len(nums), len(nums) - nums.count(0)
+    width, v_max = end - 1, x0 + (end - 1) * g
+    cap, wb = 1, _slot_bytes(base)
     step_x = _pack(nums, wb)
-    # Each sum reads the table up from a start: the table index past the sites at or
-    # below a position t (the sites below t are those at or below t - 1), less `width`
-    # where the reads run down from t as j runs up; those run up the reversed numerators.
-    starts = [(l, 0), (l - 1, 0), (l - x0 - 1, width), (l - x0, width), (x0, 0), (-x0 - 1, width)]
-    starts += [(-x0, width), (x0 - 1, 0), (0, 0), (-1, 0)]
-
-    def table(prefix: List[int], base: int) -> Tuple[List[int], List[int]]:
-        """The prefix table padded by `end` copies of its ends, and its indices of `starts`.
-
-        A read covers at most `end` entries up from its start, so a start before the
-        padding (every read 0) or past the table (every read its total) is clamped to
-        the padding's first entry or the table's last, which reads the same values.
-        """
-        ext = [0] * end + prefix + [prefix[-1]] * end
-        top = len(prefix) + end - 1
-        ix = [(t - base) // g + 1 + end - d for t, d in starts]
-        return ext, [0 if i < 0 else top if i > top else i for i in ix]
-
     cur, lo, hi, den = 1, 0, 0, 1  # S_0, the point mass at 0
-    ext, ix = table([0, 1], 0)
     for n in range(1, last + 1):
-        # le_t, lt_t: the starts for the sites at or below t and below t; lx = l - x0, mx = -x0.
-        le_l, lt_l, lt_lx, le_lx, le_x, lt_mx, le_mx, lt_x, _, _ = ix
-        # A step v > 0 crosses from [l - v, l], a step v < 0 from [l, l - v].
-        cross = (
-            ext[le_l] * m_pos
-            - _dot(rev, ext, lt_lx, 0, end - pos)
-            + _dot(rev, ext, le_lx, end - neg, end)
-            - ext[lt_l] * m_neg
-        )
-        # Window [-|v|, |v|]: [-v, v] for v >= 0, [v, -v] for v < 0.
-        dom = (
-            _dot(nums, ext, le_x, neg, end)
-            - _dot(rev, ext, lt_mx, 0, end - neg)
-            + _dot(rev, ext, le_mx, end - neg, end)
-            - _dot(nums, ext, lt_x, 0, neg)
-        )
-        if n > cap:  # widen the slots to hold D^cap, the largest numerator up to S_cap
+        if n > cap:  # widen the slots to hold base^cap, the largest numerator up to S_cap
             cap = min(2 * cap, last)
-            wider = _slot_bytes(s.den**cap)
+            wider = _slot_bytes(base**cap)
             if wider > wb:
                 cur, step_x = _widen(cur, wb, wider, hi - lo + 1), _widen(step_x, wb, wider, end)
                 wb = wider
@@ -237,19 +178,80 @@ def _scan(spec: WalkSpec, last: int) -> Iterator[Tuple[int, ...]]:
         else:
             cur = _shift_add(cur, lo, enumerate(nums), i_lo, i_hi, wb)
         lo, hi = i_lo, i_hi
-        den *= s.den
-        a = max(-((n * x0 - q_lo) // g), lo)  # S_n's sites a..b lie in Q
-        b = min((q_hi - n * x0) // g, hi)
-        ext, ix = table([0, *accumulate(_unpack(cur, wb, a - lo, b - lo + 1))], n * x0 + a * g)
-        yield n, den, cross, dom, ext[ix[0]] - ext[ix[1]], ext[ix[8]] - ext[ix[9]]
+        den *= base
+        yield n, den, cur, lo, hi, wb
+
+
+def _scan(spec: WalkSpec, last: int) -> Iterator[Tuple[int, ...]]:
+    """Yield (n, den, cross, dom, at_level, at_zero) for n = 1..last, numerators over den = D^n.
+
+    cross gives p_n, dom P(|S_{n-1}| <= |X_n|) at level 0 (0 at other levels), at_level
+    and at_zero S_n's masses at the level and at 0, in `DiscreteDist.joint`'s units: step
+    site j at x0 + j*g, S_n's site i at n*x0 + i*g.  A step v != 0 changes the sign of
+    y - l exactly when y lies between l - v and l, ends included.  So with F(c) the step
+    mass at v <= c for c < 0, at v >= c for c > 0 and at v != 0 for c = 0, p_n and the
+    bound are S_{n-1}'s dot products with w_cross(y) = F(l - y) and w_dom(y) = F(y) +
+    F(-y) (D at y = 0), zero outside Q, the hull of those windows, l and 0.  Along a
+    residue mod g, F's threshold moves one step site per position, so a residue's weights
+    are slices of the step's prefix sums, cached per scan.
+    """
+    s = spec.step
+    k, l = s.joint(spec.level)
+    x0, g, nums = s._dense
+    x0, g, v_max = x0 * k, g * k, (x0 + (len(nums) - 1) * g) * k
+    q_lo, q_hi = min(l - v_max, l, x0, -v_max), max(l - x0, l, -x0, v_max)
+    w_lo = max(q_lo, (last - 1) * min(x0, 0))  # the weights cover Q's part of S_0..S_{last-1}
+    w_hi = min(q_hi, (last - 1) * max(v_max, 0))
+    pad, m0 = (w_hi - w_lo) // g + 1, s.window(0, 0)
+    below = [0] * pad + [0, *accumulate(nums)] + [s.den] * pad  # at sites < j, at pad + j
+    above = list(map(sub, repeat(s.den), below))  # and at sites >= j
+
+    def beyond(c: int, count: int) -> List[int]:
+        """F(c + t*g) for t < count: slices of the tables, clamped into their padding."""
+        neg = _clip(-(c // g), count)
+        u = neg + (neg < count and c + neg * g == 0)
+        i = _clip(pad + (c - x0) // g + 1, len(below) - neg)
+        j = _clip(pad + u - (x0 - c) // g, len(above) - count + u)
+        return below[i : i + neg] + [s.den - m0] * (u - neg) + above[j : j + count - u]
+
+    def weights(y0: int) -> Tuple[List[int], List[int]]:
+        """w_cross and w_dom at y0 + t*g up to w_hi, for w_lo <= y0 < w_lo + g."""
+        count = (w_hi - y0) // g + 1
+        cross = beyond(l - y0 - (count - 1) * g, count)[::-1]  # F(l - y), so F(-y) at l = 0
+        dom = list(map(add, beyond(y0, count), cross)) if l == 0 else []  # read at 0 only
+        if dom and y0 % g == 0:  # then 0 is a position: every v has |v| >= 0
+            dom[-y0 // g] = s.den
+        return cross, dom
+
+    def at(x: int) -> int:
+        i, r = divmod(x - y, g)
+        return vals[i] if r == 0 and 0 <= i < len(vals) else 0
+
+    cache, vals, y = {}, [1], 0  # S_0's slots in Q, the first at position y
+    for n, den, cur, lo, hi, wb in _powers(x0, g, nums, s.den, last, q_lo, q_hi):
+        t, r = divmod(y - w_lo, g)  # S_{n-1}'s first slot: entry t of residue r's weights
+        w_cross, w_dom = cache.get(r) or cache.setdefault(r, weights(w_lo + r))
+        cross, dom = (sum(map(mul, vals, w[t : t + len(vals)])) for w in (w_cross, w_dom))
+        # S_n's sites a..b lie in Q; at the last n, only those from the level to 0.
+        y_lo, y_hi = (q_lo, q_hi) if n < last else (min(l, 0), max(l, 0))
+        a = max(-((n * x0 - y_lo) // g), lo)
+        b = min((y_hi - n * x0) // g, hi)
+        vals, y = list(_unpack(cur, wb, a - lo, b - lo + 1)), n * x0 + a * g
+        yield n, den, cross, dom, at(l), at(0)
 
 
 def walk_marginals(spec: WalkSpec) -> List[DiscreteDist]:
     """Exact laws of S_1..S_horizon (S_0 is the implicit point mass at 0)."""
     _check_horizon(spec)
-    step_lat = to_lattice(spec.step)
-    marginals = accumulate(repeat(step_lat, spec.horizon - 1), lattice_convolve, initial=step_lat)
-    return [cur.to_dist() for cur in marginals]
+    s, last = spec.step, spec.horizon
+    x0, g, nums = s._dense
+    hull = last * min(x0, 0), last * max(x0 + (len(nums) - 1) * g, 0)  # all of S_1..S_last
+    out = []
+    for n, den, cur, lo, hi, wb in _powers(x0, g, nums, s.den, last, *hull):
+        masses = list(_unpack(cur, wb, 0, hi - lo + 1))
+        points = compress(range(n * x0, n * x0 + len(masses) * g, g), masses)
+        out.append(_from_ints(s.scale, list(points), den, list(compress(masses, masses))))
+    return out
 
 
 def crossing_prob(spec: WalkSpec, n: int) -> Fraction:
@@ -257,9 +259,8 @@ def crossing_prob(spec: WalkSpec, n: int) -> Fraction:
     if not isinstance(n, int) or not 1 <= n <= spec.horizon:
         raise ValueError(f"n must be in 1..{spec.horizon}, got {n}")
     _check_horizon(spec)
-    for _, den, cross, _, _, _ in _scan(spec, n):
-        pass
-    return Fraction(cross, den)
+    _, den, cross, *_ = deque(_scan(spec, n), maxlen=1)[0]  # the last row
+    return over_power(cross, den, spec.step.den)
 
 
 def dominated_crossing_bound(spec: WalkSpec, n: int) -> Fraction:
@@ -271,9 +272,8 @@ def dominated_crossing_bound(spec: WalkSpec, n: int) -> Fraction:
     if n > spec.horizon:
         raise ValueError(f"n must be at most the horizon {spec.horizon}, got {n}")
     _check_horizon(spec)
-    for _, den, _, dom, _, _ in _scan(spec, n):
-        pass
-    return Fraction(dom, den)
+    _, den, _, dom, *_ = deque(_scan(spec, n), maxlen=1)[0]
+    return over_power(dom, den, spec.step.den)
 
 
 def concentration(d: DiscreteDist, lam: RationalLike) -> Fraction:
@@ -294,8 +294,10 @@ def expected_sign_changes(spec: WalkSpec) -> Fraction:
     if spec.level != 0:
         raise NotApplicable("sign-change counting is defined for level 0 only")
     _check_horizon(spec)
-    rows = _scan(spec, spec.horizon)
-    return sum((Fraction(cross, den) for _, den, cross, *_ in rows), Fraction(0))
+    base, total = spec.step.den, 0
+    for _, den, cross, *_ in _scan(spec, spec.horizon):
+        total = total * base + cross  # sum of cross_n * D^(H - n), over D^H
+    return over_power(total, den, base)
 
 
 def crossing_table(spec: WalkSpec) -> CrossingReport:
@@ -314,17 +316,15 @@ def crossing_table(spec: WalkSpec) -> CrossingReport:
     z_pow = 1
     rows = []
     for n, den, cross, dom, at_level, at_zero in _scan(spec, spec.horizon):
-        p = Fraction(cross, den)
-        atom_at_level = Fraction(at_level, den)
-        zero_mass = atom_at_level if at_zero_level else Fraction(at_zero, den)
-        scaled = sqrt(n) * float(p)
+        p = over_power(cross, den, spec.step.den)
+        atom = over_power(at_level, den, spec.step.den)
+        zero_mass = atom if at_zero_level else over_power(at_zero, den, spec.step.den)
         z_pow *= z
         slack = cross - 2 * at_zero
         bounds = symmetric and at_zero_level
         lower_ok = 2 * n * cross >= den - z_pow if bounds else None
         chain_ok = (slack <= 0 or n * slack * slack <= 4 * den * den) if bounds else None
         dom_ok = cross <= dom if at_zero_level and n >= 2 else None
-        rows.append(
-            CrossingRow(n, p, atom_at_level, zero_mass, scaled, lower_ok, chain_ok, dom_ok)
-        )
+        scaled = sqrt(n) * (cross / den)  # the float of p, correctly rounded
+        rows.append(CrossingRow(n, p, atom, zero_mass, scaled, lower_ok, chain_ok, dom_ok))
     return CrossingReport(spec.level, spec.horizon, symmetric, tuple(rows))

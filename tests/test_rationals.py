@@ -1,0 +1,57 @@
+import runpy
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lcross.rationals import over_power
+
+# Each base with its primes: the factors a numerator can share with a power of it.
+BASES = {
+    1: (),
+    2: (2,),
+    60: (2, 3, 5),
+    360: (2, 3, 5),
+    2**61 - 1: (2**61 - 1,),  # a Mersenne prime, wider than the 2^60 chunk
+    10**20: (2, 5),
+    2**70: (2,),
+}
+
+
+@st.composite
+def numerators(draw):
+    """(x, den, base): den a power of base, x zero, den itself, any value up to den, or
+    a small cofactor times high powers of base's primes, past den."""
+    base = draw(st.sampled_from(sorted(BASES)))
+    n = draw(st.integers(0, 40))
+    den = base**n
+    kind = draw(st.sampled_from(["zero", "den", "any", "powers"]))
+    if kind == "zero":
+        return 0, den, base
+    if kind == "den":
+        return den, den, base
+    if kind == "any":
+        return draw(st.integers(0, den)), den, base
+    x = draw(st.integers(1, 10**6))
+    for p in BASES[base]:
+        x *= p ** draw(st.integers(0, 3 * n + 70))
+    return x, den, base
+
+
+@given(numerators())
+@settings(max_examples=400, deadline=None)
+def test_over_power_is_fraction_in_lowest_terms(case):
+    x, den, base = case
+    got, want = over_power(x, den, base), F(x, den)
+    assert type(got) is F
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert type(got.numerator) is int and type(got.denominator) is int
+
+
+def test_stdlib_check_script_passes(capsys):
+    # The script loads rationals.py by path, so it also runs where numpy is absent.
+    script = Path(__file__).resolve().parent / "check_rationals_stdlib.py"
+    runpy.run_path(str(script), run_name="__main__")
+    assert sys.version.split()[0] in capsys.readouterr().out

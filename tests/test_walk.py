@@ -23,6 +23,7 @@ from lcross import (
     uniform_range,
     walk_marginals,
 )
+import lcross.dist as dist
 import lcross.walk as walk
 from lcross.acceptance import _enum_crossing_probs, _random_dist, _random_symmetric_dist
 
@@ -181,9 +182,10 @@ HALVES = make_dist([(F(1, 2), 1), (F(3, 2), 1)])
 SKEWED = make_dist([(0, 256), (1, 1)])  # P(S_n = 0) = 256^n / 257^n nearly fills a slot
 
 
-def _assert_scan_matches_forward(step, horizon):
+def _assert_scan_matches_forward(step, horizon, extra_levels=()):
     lo, hi = step.values[0], step.values[-1]
     levels = {
+        *extra_levels,
         F(0),
         hi,  # a site of S_1
         2 * lo,  # a site of S_2
@@ -223,6 +225,60 @@ def test_scan_matches_forward_recursion_across_slot_widenings():
     for step in (SKEWED, MIXED, HALVES):
         for horizon in (15, 16, 17, 33):
             _assert_scan_matches_forward(step, horizon)
+
+
+def test_window_weights_match_forward_recursion_across_residues():
+    # S_{n-1}'s positions run through the residues mod the lattice step, each with its own
+    # cached weights: 3 residues for {1, 4}, 2 for {-1, 1}, 5 for {1/3, 2} (in thirds) and
+    # 999999 for {1, 10^6}, of which a short walk meets one per n.  The last two steps keep
+    # to one side of 0, so thresholds fall far past the step's ends.
+    steps = (
+        make_dist([(1, 1), (4, 2)]),
+        rademacher(),
+        make_dist([(F(1, 3), 2), (2, 1)]),
+        make_dist([(1, 3), (10**6, 1)]),
+        make_dist([(-10, 1), (-9, 2)]),
+        make_dist([(9, 2), (10, 1), (12, 1)]),
+    )
+    for step in steps:
+        lo, hi = step.values[0], step.values[-1]
+        gap = hi - lo
+        # On the lattice, between its sites, and below and above the step's hull.
+        extra = {lo + gap, 3 * lo, lo + gap / 2, lo - 1, lo - F(1, 2), hi + 1, 2 * hi + F(1, 3)}
+        extra |= {-hi, -lo, -gap}
+        for horizon in (1, 2, 5, 11):
+            _assert_scan_matches_forward(step, horizon, extra)
+
+
+def _forward_laws(step, horizon):
+    """S_1..S_horizon by the integer dict recursion of `_forward`, as laws."""
+    scale = math.lcm(*(v.denominator for v in step.values))
+    den = math.lcm(*(w.denominator for w in step.weights))
+    moves = [(int(v * scale), int(w * den)) for v, w in step.atoms]
+    law, laws = {0: 1}, []
+    for n in range(1, horizon + 1):
+        nxt: dict = {}
+        for x, p in law.items():
+            for v, w in moves:
+                nxt[x + v] = nxt.get(x + v, 0) + p * w
+        law = nxt
+        laws.append(DiscreteDist((F(x, scale), F(law[x], den**n)) for x in sorted(law)))
+    return laws
+
+
+def test_walk_marginals_read_the_packed_engine(monkeypatch):
+    # walk_marginals unpacks each S_n once from the scan's packed engine and builds no
+    # lattice; lattice_convolve and to_lattice stay bound in walk for perfbench's tracer.
+    assert vars(walk)["lattice_convolve"] is dist.lattice_convolve
+    assert vars(walk)["to_lattice"] is dist.to_lattice
+    monkeypatch.setattr(walk, "lattice_convolve", lambda a, b: pytest.fail("lattice convolved"))
+    monkeypatch.setattr(walk, "to_lattice", lambda d: pytest.fail("lattice built"))
+    monkeypatch.setattr(dist.LatticeDist, "to_dist", lambda lat: pytest.fail("lattice read"))
+    # The slots widen when n passes 1, 2, 4, 8, 16, 32: horizons on both sides of a doubling.
+    for step in (SKEWED, MIXED, NEGATIVE, HALVES, point_mass(F(-2, 3))):
+        for horizon in (15, 16, 17, 33):
+            expected = _forward_laws(step, horizon)
+            assert walk_marginals(WalkSpec(step=step, horizon=horizon)) == expected
 
 
 def test_scan_slots_fit_the_marginal_not_the_horizon(monkeypatch):
