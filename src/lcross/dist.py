@@ -355,28 +355,28 @@ def _unpack(x: int, wb: int, i: int, j: int) -> Iterator[int]:
 
 
 def _widen(x: int, wb: int, wider: int, size: int) -> int:
-    """x's slots 0..size-1, moved from wb-byte to wider-byte slots: one strided copy per byte."""
-    size = max(size, 0)
-    raw, out = x.to_bytes(size * wb, "little"), bytearray(size * wider)
-    for b in range(wb):
-        out[b::wider] = raw[b::wb]
-    return int.from_bytes(out, "little")
+    """x's slots 0..size-1, moved from wb-byte to wider-byte slots: one zero-padded join."""
+    raw = x.to_bytes(max(size, 0) * wb, "little")
+    slots = [raw[i : i + wb] for i in range(0, len(raw), wb)]
+    return int.from_bytes(bytes(wider - wb).join(slots), "little")
 
 
 def _shift_add(x: int, off: int, y: Iterable[Tuple[int, int]], lo: int, hi: int, wb: int) -> int:
     """Sites lo..hi, packed, of x * y: x's wb-byte slot t is site off + t, y yields (site, m).
 
     One shifted, scaled copy of x per nonzero site of y; exact when every site numerator
-    of the product fits a slot, since no slot then carries into the next.
+    of the product fits a slot, since no slot then carries into the next.  The sum starts
+    at the first kept copy, and the slots past hi are cleared by XOR-ing them back out.
     """
     w, size = 8 * wb, hi - lo + 1
     out = 0
     for j, m in y:
         s = off + j - lo
         if m and s < size:
-            out += (x * m) << (s * w) if s >= 0 else (x >> (-s * w)) * m
+            t = (x * m) << (s * w) if s >= 0 else (x >> (-s * w)) * m
+            out = out + t if out else t
     keep = max(size, 0) * w
-    return out & ((1 << keep) - 1) if out.bit_length() > keep else out
+    return out ^ ((out >> keep) << keep) if out.bit_length() > keep else out
 
 
 def lattice_convolve(a: LatticeDist, b: LatticeDist) -> LatticeDist:

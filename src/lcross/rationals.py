@@ -9,23 +9,20 @@ from __future__ import annotations
 
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
-from functools import partial
 from math import gcd
 from typing import Union
 
 RationalLike = Union[int, str, Fraction]
 
-# A Fraction from a numerator and denominator already coprime, without the gcd:
-# a classmethod from 3.12, a keyword before it, the plain constructor otherwise.
-try:
-    _coprime = Fraction._from_coprime_ints
-except AttributeError:
-    try:
-        Fraction(1, 1, _normalize=False)
-        _coprime = partial(Fraction, _normalize=False)
-    except TypeError:
-        _coprime = Fraction
+
+def _coprime(n: int, d: int) -> Fraction:
+    """The Fraction n/d for coprime n and d > 0, built without a gcd or a type check."""
+    q = object.__new__(Fraction)
+    q._numerator, q._denominator = n, d
+    return q
+
 
 # Fraction("1e999999999") would compute 10**999999999, so exponents beyond
 # Python's digit limit on integer strings (or its default, if off) are refused.
@@ -58,11 +55,11 @@ def as_rational(x: RationalLike) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical lowest-terms string: "3" for integers, "3/8" otherwise."""
+    """Canonical lowest-terms string, "3" or "3/8": Decimal has no limit on digits, unlike str."""
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return str(Decimal(q.numerator))
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 def over_power(x: int, den: int, base: int) -> Fraction:

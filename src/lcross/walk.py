@@ -18,7 +18,7 @@ import io
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, count, repeat
 from math import sqrt
 from operator import add, mul, sub
 from typing import Iterator, List, Optional, Tuple
@@ -158,25 +158,26 @@ def _powers(
     remaining last - n steps, so the shifted adds on R_n are exact: R_n - [x0, v_max] lies
     in R_{n-1}.  Slots hold base^cap, cap doubling up to last as n passes it (`_widen`).
     """
-    end, nonzero = len(nums), len(nums) - nums.count(0)
+    end, pairs = len(nums), [(j, m) for j, m in enumerate(nums) if m]
     width, v_max = end - 1, x0 + (end - 1) * g
+    da, db = x0 - max(v_max, 0), min(x0, 0) - x0  # R_n: (a + n*da) // g, (b + n*db) // g
+    a, b = last * max(v_max, 0) - q_lo, q_hi - last * min(x0, 0)
     cap, wb = 1, _slot_bytes(base)
     step_x = _pack(nums, wb)
     cur, lo, hi, den = 1, 0, 0, 1  # S_0, the point mass at 0
-    for n in range(1, last + 1):
+    for n, a_n, b_n in zip(range(1, last + 1), count(a + da, da), count(b + db, db)):
         if n > cap:  # widen the slots to hold base^cap, the largest numerator up to S_cap
             cap = min(2 * cap, last)
             wider = _slot_bytes(base**cap)
             if wider > wb:
                 cur, step_x = _widen(cur, wb, wider, hi - lo + 1), _widen(step_x, wb, wider, end)
                 wb = wider
-        i_lo = max(-((n * x0 + (last - n) * max(v_max, 0) - q_lo) // g), 0)
-        i_hi = min((q_hi - (last - n) * min(x0, 0) - n * x0) // g, n * width)
-        if hi - lo + 1 < nonzero:  # then S_{n-1} has fewer nonzero sites than the step
+        i_lo, i_hi = max(-(a_n // g), 0), min(b_n // g, n * width)
+        if hi - lo + 1 < len(pairs):  # then S_{n-1} has fewer nonzero sites than the step
             mine = enumerate(_unpack(cur, wb, 0, hi - lo + 1), lo)
             cur = _shift_add(step_x, 0, mine, i_lo, i_hi, wb)
         else:
-            cur = _shift_add(cur, lo, enumerate(nums), i_lo, i_hi, wb)
+            cur = _shift_add(cur, lo, pairs, i_lo, i_hi, wb)
         lo, hi = i_lo, i_hi
         den *= base
         yield n, den, cur, lo, hi, wb
@@ -223,21 +224,22 @@ def _scan(spec: WalkSpec, last: int) -> Iterator[Tuple[int, ...]]:
             dom[-y0 // g] = s.den
         return cross, dom
 
-    def at(x: int) -> int:
-        i, r = divmod(x - y, g)
-        return vals[i] if r == 0 and 0 <= i < len(vals) else 0
-
     cache, vals, y = {}, [1], 0  # S_0's slots in Q, the first at position y
     for n, den, cur, lo, hi, wb in _powers(x0, g, nums, s.den, last, q_lo, q_hi):
         t, r = divmod(y - w_lo, g)  # S_{n-1}'s first slot: entry t of residue r's weights
         w_cross, w_dom = cache.get(r) or cache.setdefault(r, weights(w_lo + r))
-        cross, dom = (sum(map(mul, vals, w[t : t + len(vals)])) for w in (w_cross, w_dom))
+        cross = sum(map(mul, vals, w_cross[t : t + len(vals)]))
+        dom = sum(map(mul, vals, w_dom[t : t + len(vals)])) if l == 0 else 0
         # S_n's sites a..b lie in Q; at the last n, only those from the level to 0.
         y_lo, y_hi = (q_lo, q_hi) if n < last else (min(l, 0), max(l, 0))
         a = max(-((n * x0 - y_lo) // g), lo)
         b = min((y_hi - n * x0) // g, hi)
         vals, y = list(_unpack(cur, wb, a - lo, b - lo + 1)), n * x0 + a * g
-        yield n, den, cross, dom, at(l), at(0)
+        i, r = divmod(l - y, g)  # S_n's masses at the level and at 0: slots i and j of vals
+        at_level = vals[i] if r == 0 and 0 <= i < len(vals) else 0
+        j, r = divmod(-y, g)
+        at_zero = at_level if l == 0 else vals[j] if r == 0 and 0 <= j < len(vals) else 0
+        yield n, den, cross, dom, at_level, at_zero
 
 
 def walk_marginals(spec: WalkSpec) -> List[DiscreteDist]:

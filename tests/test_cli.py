@@ -69,6 +69,23 @@ def test_crossing_from_file_with_renormalization(tmp_path, capsys):
     assert rows[0][1] == "1"
 
 
+def test_crossing_prints_rationals_past_the_digit_limit(tmp_path, capsys):
+    # p_2 = P(S_2 = 0) = (10^4000 - 1) / (5 * 10^7999): both halves are past the
+    # 4,300 digits that str(int) converts by default.
+    d = "1" + "0" * 4000
+    path = tmp_path / "law.json"
+    path.write_text(
+        json.dumps({"atoms": [{"v": "-1", "w": f"1/{d}"}, {"v": "1", "w": f"{'9' * 4000}/{d}"}]})
+    )
+    want = "9" * 4000 + "/5" + "0" * 7999
+    assert run(["crossing", "--dist", str(path), "--horizon", "2"]) == 0
+    _, rows = csv_rows(capsys.readouterr().out)
+    assert rows[1][1] == rows[1][3] == want
+    assert run(["crossing", "--dist", str(path), "--horizon", "2", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rows"][1]["p_n"] == doc["rows"][1]["P_Sn_eq_0"] == want
+
+
 def test_crossing_rejects_bad_inputs(tmp_path, capsys):
     assert run(["crossing", "--dist", "no_such_law"]) == 2
     assert "not a built-in" in capsys.readouterr().err

@@ -31,7 +31,7 @@ from lcross import (
     walk_marginals,
 )
 from lcross.acceptance import _random_dist
-from lcross.dist import _pack, _shift_add, _slot_bytes, _unpack
+from lcross.dist import _pack, _shift_add, _slot_bytes, _unpack, _widen
 from lcross.rationals import as_rational
 
 
@@ -383,6 +383,26 @@ def test_packed_kernel_matches_dict_convolution(x, y, off, lo, span):
         out = _shift_add(_pack(packed, wb), off, enumerate(looped), lo, hi, wb)
         assert list(_unpack(out, wb, 0, span + 1)) == want
         assert out < 1 << (8 * wb * max(span + 1, 0))
+
+
+@st.composite
+def _slot_vectors(draw):
+    """(v, wb): wb-byte slot values, the top one 256^wb - 1 drawn often."""
+    wb = draw(st.integers(1, 9))
+    top = 256**wb - 1
+    return draw(st.lists(st.integers(0, top) | st.just(top), max_size=12)), wb
+
+
+@example(case=([], 1))
+@example(case=([], 4))
+@example(case=([255], 1))
+@example(case=([7], 3))
+@example(case=([2**24 - 1, 0, 2**24 - 1], 3))
+@given(case=_slot_vectors())
+def test_widen_moves_slots_to_wider_ones(case):
+    v, wb = case
+    for wider in (wb + 1, wb + 9):
+        assert _widen(_pack(v, wb), wb, wider, len(v)) == _pack(v, wider)
 
 
 def test_as_rational_refuses_runaway_exponents():

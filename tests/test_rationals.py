@@ -3,10 +3,10 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lcross.rationals import over_power
+from lcross.rationals import format_rational, over_power
 
 # Each base with its primes: the factors a numerator can share with a power of it.
 BASES = {
@@ -48,6 +48,22 @@ def test_over_power_is_fraction_in_lowest_terms(case):
     assert type(got) is F
     assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
     assert type(got.numerator) is int and type(got.denominator) is int
+
+
+@given(st.integers(), st.integers(min_value=1))
+@example(10**4299, 1)  # 4,300 digits, the most str(int) converts by default
+@example(-(10**4299), 10**4299 - 1)
+@example(0, 1)
+def test_format_rational_matches_str_below_the_digit_limit(n, d):
+    q = F(n, d)
+    assert format_rational(q) == str(q)
+
+
+def test_format_rational_has_no_digit_limit():
+    assert format_rational(F(-(10**8000))) == "-1" + "0" * 8000
+    assert format_rational(F(1, 10**8000)) == "1/1" + "0" * 8000
+    want = "-" + "9" * 4000 + "/5" + "0" * 7999
+    assert format_rational(F(2 - 2 * 10**4000, 10**8000)) == want
 
 
 def test_stdlib_check_script_passes(capsys):

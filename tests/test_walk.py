@@ -324,6 +324,26 @@ def test_scan_work_shrinks_toward_the_last_row(monkeypatch):
     assert sum(sites) < 0.6 * full
 
 
+def test_powers_keeps_exactly_the_sites_that_can_reach_the_window():
+    # R_n: S_n's sites i in 0..n*width from which a walk of last - n more steps, each
+    # moving by min(x0, 0) at least and max(v_max, 0) at most, can still reach the
+    # window [q_lo, q_hi].  Found here by trying every i, not by the engine's floors.
+    cases = [
+        (-2, 1, (1, 3, 1, 2, 1), -3, 3),
+        (-3, 3, (2, 1), -3, 4),
+        (1, 2, (1, 0, 2), -4, 5),  # positive steps: R_n empties before the last n
+        (-7, 2, (5, 0, 0, 1), -7, 13),
+    ]
+    last = 9
+    for x0, g, nums, q_lo, q_hi in cases:
+        width, v_max = len(nums) - 1, x0 + (len(nums) - 1) * g
+        for n, _, _, lo, hi, _ in walk._powers(x0, g, nums, sum(nums), last, q_lo, q_hi):
+            far = range(-100 * last, 100 * last)  # every site that matters, and more
+            up = [i for i in far if n * x0 + i * g + (last - n) * max(v_max, 0) >= q_lo]
+            down = [i for i in far if n * x0 + i * g + (last - n) * min(x0, 0) <= q_hi]
+            assert (lo, hi) == (max(up[0], 0), min(down[-1], n * width)), (x0, g, nums, n)
+
+
 def test_wide_uniform_laws_match_closed_forms():
     # X uniform on 0..N, level 0: S_1 != 0 crosses, so p_1 = N/(N+1); at n = 2 only
     # S_1 = 0 followed by X_2 > 0 crosses, so p_2 = N/(N+1)^2; and the domination bound
@@ -446,3 +466,16 @@ def test_report_csv_and_json():
     assert doc["level"] == "0" and doc["horizon"] == 2 and doc["symmetric"]
     assert doc["rows"][1]["p_n"] == "1/2"
     assert doc["rows"][1]["domination_ok"] is True
+
+
+def test_report_formats_rationals_past_the_digit_limit():
+    # Steps -1 and 1 with weights 1/10^4000 and 1 - 1/10^4000: p_2 = P(S_2 = 0) =
+    # 2(10^4000 - 1)/10^8000, whose numerator has 4,000 digits and its denominator 8,000
+    # in lowest terms, past the 4,300 that str(int) converts by default.
+    tiny = F(1, 10**4000)
+    report = crossing_table(WalkSpec(step=make_dist([(-1, tiny), (1, 1 - tiny)]), horizon=2))
+    want = "9" * 4000 + "/5" + "0" * 7999
+    row = report.to_csv().strip().splitlines()[2].split(",")
+    assert row[0] == "2" and row[1] == row[3] == want
+    doc = report.to_json_dict()["rows"][1]
+    assert doc["p_n"] == doc["atom_at_level"] == doc["P_Sn_eq_0"] == want
