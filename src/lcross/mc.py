@@ -4,20 +4,17 @@ Samplers cover finite laws, Gaussian and Cauchy steps, and the factorial
 heavy-tail construction that draws an index k with probability
 proportional to k^(-3/2) (truncated at K) and emits a fair sign times k!.
 The crossing, sign-change and dominance estimators only read signs of
-S_k - l, and are reductions over one sign engine that yields them for
-all sampled paths, one vector per time step.  Positions for discrete
-samplers are exact integers: on int64 while no sum can reach 2^62.
-Beyond that the signs are decided in float64 under a proven rounding
-error bound (_screened_signs), and only the paths whose sign the bound
-leaves open are summed exactly, as numpy object vectors of Python ints;
-past 2^1000, where a float could overflow, every path is summed exactly.
-Every sign is exact, so the estimates are those of exact sums.  Only the
-continuous samplers use floating point positions.  Discrete draws invert
+S_k - l, and are reductions over one sign engine (_path_signs) that
+draws, sums and signs one block of about _BLOCK steps at a time, so a
+call holds the samples-sized output it keeps plus one block.  Discrete
+samplers' signs are exact: integer sums decide them, or a float64 screen
+under a proven error bound (_sign_rule).  Only the continuous samplers
+use floating point positions.  Discrete draws invert
 the float cumulative weights through a bucketed guide table
-(`_draw_indices`) and are bit-identical to np.searchsorted(cum, u,
-side="right") on the same uniforms.  All randomness comes from
-counter-based Philox streams keyed by (seed, stream_id), so results are
-reproducible and independent of parallelism.
+(_index_blocks), bit-identical to np.searchsorted(cum, u, side="right").
+All randomness comes from counter-based Philox streams keyed by
+(seed, stream_id), consumed by the blocks in the order of one whole
+draw, so results are reproducible and independent of parallelism.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import isfinite, sqrt
 from operator import mul
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -43,11 +40,9 @@ _INT64_SAFE = 2**62
 # rounding bound it forms stays finite.
 _FLOAT_SAFE = 2**1000
 
-# Steps (rows x times) per block of the float screen; bounds its temporaries.
-_SCREEN_BLOCK = 2**14
-
-# Uniforms drawn and indexed per pass of _draw_indices; bounds its temporaries.
-_DRAW_CHUNK = 2**15
+# Steps (rows x times) drawn, summed and signed per block of paths; bounds
+# the temporaries of each block.
+_BLOCK = 2**16
 
 LevelLike = Union[RationalLike, float]
 
@@ -160,8 +155,10 @@ def _float_cumulative(masses: Tuple[int, ...], den: int) -> np.ndarray:
     return cum
 
 
-def _draw_indices(rng: np.random.Generator, cum: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """np.searchsorted(cum, rng.random(shape), side="right"), by a bucketed inverse CDF.
+def _index_blocks(
+    rng: np.random.Generator, cum: np.ndarray, samples: int, n: int
+) -> Iterator[Tuple[slice, np.ndarray]]:
+    """Per row block: its rows and np.searchsorted(cum, u, side="right") for its uniforms u.
 
     This is the guide-table ("indexed search") method of Chen & Asau,
     AIIE Trans. 6 (1974); see also Devroye, Non-Uniform Random Variate
@@ -175,35 +172,35 @@ def _draw_indices(rng: np.random.Generator, cum: np.ndarray, shape: Tuple[int, .
     holds at most one entry, that entry is t[start[b]], so one compare
     v >= t[start[b]] completes the index.  Draws in buckets that hold two
     or more entries (skewed laws, equal float entries) are answered by
-    searchsorted itself.  The uniforms are drawn in C order, in chunks that
-    bound the temporaries, which consumes the stream exactly as one
-    rng.random(shape) call: the indices are bit-identical.
+    searchsorted itself.  Blocks draw their uniforms in turn, in C order, as
+    one rng.random((samples, n)) call would.  Each block overwrites the
+    arrays of the one before, so read it before asking for the next.
     """
     m = 1 << min(16, max(10, (4 * len(cum) - 1).bit_length()))
     t = cum * m
-    edges = np.arange(m + 1, dtype=np.float64)
-    start = np.searchsorted(t, edges[:-1], side="right")
-    crowded = np.searchsorted(t, edges[1:], side="left") - start >= 2
+    start = np.searchsorted(t, np.arange(m, dtype=np.float64), side="right")
+    crowded = np.searchsorted(t, np.arange(1, m + 1, dtype=np.float64), side="left") - start >= 2
     any_crowded = bool(crowded.any())
-    out = np.empty(shape, dtype=np.intp)
-    flat = out.reshape(-1)
-    v, at = np.empty(_DRAW_CHUNK), np.empty(_DRAW_CHUNK)
-    bucket, above = np.empty(_DRAW_CHUNK, dtype=np.intp), np.empty(_DRAW_CHUNK, dtype=bool)
-    for lo in range(0, flat.size, _DRAW_CHUNK):
-        seg = flat[lo : lo + _DRAW_CHUNK]
-        if seg.size < _DRAW_CHUNK:
-            v, at, bucket, above = (a[: seg.size] for a in (v, at, bucket, above))
+    size = min(samples, max(1, _BLOCK // n)) * n
+    # One allocation for the four 8-byte arrays: once glibc has unmapped a chunk
+    # it keeps freed heap up to twice that size, so later calls reuse warm pages.
+    v, at, bucket, idx = np.empty((4, size))
+    bucket, idx, above = bucket.view(np.intp), idx.view(np.intp), np.empty(size, dtype=bool)
+    for rows in _row_blocks(samples, n):
+        k = (rows.stop - rows.start) * n
+        if k < size:  # a short last block
+            v, at, bucket, above, idx = (a[:k] for a in (v, at, bucket, above, idx))
         rng.random(out=v)
         v *= m
         np.copyto(bucket, v, casting="unsafe")
-        np.take(start, bucket, out=seg, mode="clip")
-        np.take(t, seg, out=at, mode="clip")
+        np.take(start, bucket, out=idx, mode="clip")
+        np.take(t, idx, out=at, mode="clip")
         np.greater_equal(v, at, out=above)
-        seg += above
+        idx += above
         if any_crowded:
             hit = crowded[bucket]
-            seg[hit] = np.searchsorted(t, v[hit], side="right")
-    return out
+            idx[hit] = np.searchsorted(t, v[hit], side="right")
+        yield rows, idx.reshape(-1, n)
 
 
 def _index_cumulative(trunc: int) -> np.ndarray:
@@ -216,8 +213,10 @@ def _index_cumulative(trunc: int) -> np.ndarray:
 def _factorial_draws(
     rng: np.random.Generator, trunc: int, shape: Tuple[int, int]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Indices k in 1..trunc, then sign bits (1 for +k!), in that order."""
-    idx = _draw_indices(rng, _index_cumulative(trunc), shape) + 1
+    """Indices k in 1..trunc, then sign bits (1 for +k!), in that order, as whole arrays."""
+    idx = np.empty(shape, dtype=np.intp)
+    for rows, block in _index_blocks(rng, _index_cumulative(trunc), *shape):
+        np.add(block, 1, out=idx[rows])
     return idx, rng.integers(0, 2, shape)
 
 
@@ -244,148 +243,146 @@ def _check_samples(samples: int) -> None:
         raise ValueError(f"samples must be an integer >= 100, got {samples}")
 
 
-def _partial_sums(table: List[int], code: np.ndarray, shift: int = 0) -> Iterator[np.ndarray]:
-    """Exact S_1..S_n, one vector per time, for steps table[code[:, k]].
-
-    Sums run on int64 while max|v|*n + |shift| < 2^62, so neither they nor
-    S_k - shift can overflow; otherwise they are object vectors of Python
-    ints, accumulated one time step at a time.
-    """
-    samples, n = code.shape
-    if max(abs(v) for v in table) * n + abs(shift) < _INT64_SAFE:
-        steps = np.array(table, dtype=np.int64)[code.T]
-        sums = np.cumsum(steps, axis=0, out=np.empty((n, samples), dtype=np.int64))
-        del steps  # free the steps before callers form signs from the sums
-        yield from sums
-        return
-    values = np.array(table, dtype=object)
-    total = values[code[:, 0]]
-    yield total
-    for k in range(1, n):
-        total = total + values[code[:, k]]
-        yield total
+def _row_blocks(samples: int, n: int) -> Iterator[slice]:
+    """Consecutive row ranges covering 0..samples, each of max(1, _BLOCK // n) rows or fewer."""
+    rows = max(1, _BLOCK // n)
+    return (slice(lo, min(lo + rows, samples)) for lo in range(0, samples, rows))
 
 
-def _signs(table: List[int], code: np.ndarray, shift: int, first: int) -> Iterator[np.ndarray]:
-    """Exact sgn(S_k - shift) for k = first..n, one vector per time, for steps table[code[:, k-1]].
-
-    Below the int64 bound (see _partial_sums) the signs are read off the
-    int64 sums.  Beyond it, while max|v|*n + |shift| < 2^1000, a float64
-    screen decides them and exact sums run only for the rows it leaves in
-    doubt (_screened_signs); past 2^1000 a float could overflow, and every
-    row is summed exactly.
-    """
-    samples, n = code.shape
-    reach = max(abs(v) for v in table) * n + abs(shift)
-    if _INT64_SAFE <= reach < _FLOAT_SAFE:
-        yield from _screened_signs(table, code, shift, first)
-        return
-    for k, col in enumerate(_partial_sums(table, code, shift), 1):
-        if k >= first:
-            yield np.sign(col - shift if shift else col)
+def _running_sums(a: np.ndarray) -> np.ndarray:
+    """Running sums along axis 0 (time), in place, added in time order."""
+    if len(a) > a.shape[1]:  # few rows: one cumsum beats a Python loop over times
+        return np.cumsum(a, axis=0, out=a)
+    for k in range(1, len(a)):
+        a[k] += a[k - 1]
+    return a
 
 
-def _screened_signs(
-    table: List[int], code: np.ndarray, shift: int, first: int
-) -> np.ndarray:
-    """sgn(S_k - l), l = shift, for k = first..n as int8 rows, decided in float64 where safe.
+def _sign_rule(
+    table: List[int], n: int, shift: int, first: int
+) -> Callable[[np.ndarray, np.ndarray], None]:
+    """rule(code, out) writes sgn(S_k - shift), k = first..n, of steps table[code] into out.
 
-    Let u = 2^-53.  Each step is converted once, t = fl(v) = v(1 + d) with
-    |d| <= u (float(int) rounds correctly), and both F_k = fl(F_{k-1} + t)
-    and A_k = fl(A_{k-1} + |t|) are summed in time order.
-    By the recursive-summation bound (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed. 2002, 4.2) |F_k - sum t| <= g(k-1) sum|t|
-    with g(m) = mu / (1 - mu), and the conversions add at most u sum|v|;
-    since g(k-1) + u/(1-u) <= g(k), |F_k - S_k| <= g(k) sum|t|.  A_k sums
-    non-negative terms, so sum|t| <= A_k / (1 - g(k-1)).  With s = fl(l),
-    |s - l| <= u|s| / (1 - u), and the exact real F_k - s therefore lies
-    within E = g(k) A_k / (1 - g(k-1)) + u|s| / (1 - u) of S_k - l.  For
-    k <= 2^33 (far past any n whose draws fit in memory) this gives
-    (1 + u) E <= (1 + 2^-17)(k u A_k + u |s|).  The screen tests
-    |D| > B with D = fl(F_k - s) and B = fl(fl((k + 1) 2u A_k) + 2u|s|);
-    the computed B is at least (1 - u)^2 times twice k u A_k + u|s|, so it
+    code is rows x n, out int8 times x rows.  Sums are int64 below 2^62 (max|v|*n
+    + |shift|), Python ints past 2^1000, and a float64 screen in between.
+
+    The screen: let u = 2^-53.  Each step is converted once,
+    t = fl(v) = v(1 + d) with |d| <= u (float(int) rounds correctly), and
+    both F_k = fl(F_{k-1} + t) and A_k = fl(A_{k-1} + |t|) are summed in
+    time order.  By the recursive-summation bound (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed. 2002, 4.2)
+    |F_k - sum t| <= g(k-1) sum|t| with g(m) = mu / (1 - mu), and the
+    conversions add at most u sum|v|; since g(k-1) + u/(1-u) <= g(k),
+    |F_k - S_k| <= g(k) sum|t|.  A_k sums non-negative terms, so
+    sum|t| <= A_k / (1 - g(k-1)).  With s = fl(l), |s - l| <= u|s| / (1 - u),
+    and the exact real F_k - s therefore lies within
+    E = g(k) A_k / (1 - g(k-1)) + u|s| / (1 - u) of S_k - l.  For k <= 2^33
+    (far past any n whose draws fit in memory) this gives
+    (1 + u) E <= (1 + 2^-17)(k u A_k + u |s|).  The screen tests |D| > B
+    with D = fl(F_k - s) and B = fl(fl((k + 1) 2u A_k) + 2u|s|); the
+    computed B is at least (1 - u)^2 times twice k u A_k + u|s|, so it
     exceeds (1 + u) E.  Then |F_k - s| >= |D| / (1 + u) > E, so F_k - s has
     the sign of S_k - l, and D has the sign of F_k - s: rounding is
     monotone and a float difference is zero only when its operands are
     equal.  An exact zero D is never certified.  Separately, when
     A_k < 2^53 and |l| <= 2^53 every partial sum is an integer below 2^53,
     so F_k = S_k and s = l exactly (a computed A_k < 2^53 implies the exact
-    one is, since rounding is monotone), and the sign of D is exact,
-    zeros included.  Rows with a read time that neither rule decides are
-    summed exactly by _partial_sums, so every sign returned is exact.  The
-    screen runs on blocks of rows, which keeps its float memory bounded.
+    one is, since rounding is monotone), and the sign of D is exact, zeros
+    included.  Rows with a read time that neither rule decides are summed
+    exactly, so every sign written is exact.
     """
-    samples, n = code.shape
-    values = np.array([float(v) for v in table])
+    reach = max(abs(v) for v in table) * n + abs(shift)
+    if reach < _INT64_SAFE:
+        ints = np.array(table, dtype=np.int64)
+
+        def int64_rule(code: np.ndarray, out: np.ndarray) -> None:
+            sums = _running_sums(ints[code.T])[first - 1 :]
+            np.sign(sums - shift if shift else sums, out=out, casting="unsafe")
+
+        return int64_rule
+    objects = np.array(table, dtype=object)
+
+    def exact_signs(code: np.ndarray) -> np.ndarray:
+        return np.sign(_running_sums(objects[code.T])[first - 1 :] - shift)
+
+    if reach >= _FLOAT_SAFE:
+        return lambda code, out: np.copyto(out, exact_signs(code), casting="unsafe")
     # F_k in the real part and A_k in the imaginary part: complex addition
     # is one IEEE addition per part, so each step is one gather and one add.
-    pairs = values + 1j * np.abs(values)
+    pairs = np.array([complex(v, abs(v)) for v in table])
     s = float(shift)
     exact_below = 2.0**53 if abs(shift) <= 2**53 else 0.0
     scale = np.arange(first + 1, n + 2)[:, None] * 2.0**-52
     floor = 2.0**-52 * abs(s)
-    signs = np.empty((n - first + 1, samples), dtype=np.int8)
-    doubt = np.zeros(samples, dtype=bool)
-    block = max(1, _SCREEN_BLOCK // n)
-    for lo in range(0, samples, block):
-        hi = lo + block
-        acc = pairs[code[lo:hi].T]
-        for k in range(1, n):
-            acc[k] += acc[k - 1]
-        f, a = acc.real[first - 1 :], acc.imag[first - 1 :]
-        d = f - s if s else f
-        undecided = np.abs(d) <= a * scale + floor
-        undecided &= a >= exact_below
-        doubt[lo:hi] = undecided.any(axis=0)
-        np.sign(d, out=signs[:, lo:hi], casting="unsafe")
-    rows = np.flatnonzero(doubt)
-    if rows.size:
-        for k, col in enumerate(_partial_sums(table, code[rows], shift), 1):
-            if k >= first:
-                signs[k - first, rows] = np.sign(col - shift)
-    return signs
+
+    def screen_rule(code: np.ndarray, out: np.ndarray) -> None:
+        acc = _running_sums(pairs[code.T])[first - 1 :]
+        d = acc.real - s if s else acc.real
+        undecided = np.abs(d) <= acc.imag * scale + floor
+        undecided &= acc.imag >= exact_below
+        np.sign(d, out=out, casting="unsafe")
+        doubt = np.flatnonzero(undecided.any(axis=0))
+        if doubt.size:
+            out[:, doubt] = exact_signs(code[doubt])
+
+    return screen_rule
+
+
+def _signs(table: List[int], code: np.ndarray, shift: int, first: int) -> np.ndarray:
+    """Exact sgn(S_k - shift), k = first..n, of steps table[code], as int8 times x samples."""
+    samples, n = code.shape
+    rule = _sign_rule(table, n, shift, first)
+    out = np.empty((n + 1 - first, samples), dtype=np.int8)
+    for rows in _row_blocks(samples, n):
+        rule(code[rows], out[:, rows])
+    return out
 
 
 def _path_signs(
     s: StepSampler, n: int, samples: int, seed: int, level: LevelLike, first: int
-) -> Iterator[Union[np.ndarray, int, float]]:
-    """sgn(S_k - l) of sampled paths for k = first..n, one vector per time.
+) -> Iterator[Tuple[slice, np.ndarray]]:
+    """Per row block: its rows and sgn(S_k - l), k = first..n, as int8 times x rows.
 
-    S_0 = 0, so time 0 yields one number.  Positions are floats for the
-    continuous samplers, and otherwise exact integers on the common
-    denominator of the step values and the level.  The steps are drawn as
-    one samples x n block from the (seed, 0) stream, so every estimator sees
-    the same paths for a seed.
+    Blocks draw their steps from the (seed, 0) stream in turn; factorial_heavy
+    draws whole, since its stream holds every index before the first sign bit.
+    Integer positions are on the common denominator of steps and level.
     """
     rng = seeded_stream(seed, 0)
+    read, level_q = max(first, 1), _coerce_level(level)
+    zero = (level_q < 0) - (level_q > 0)  # sgn(S_0 - l)
     if s.kind in ("gaussian", "cauchy"):
+        lf = float(level_q)
+        shapes = ((rows, (rows.stop - rows.start, n)) for rows in _row_blocks(samples, n))
         if s.kind == "gaussian":
-            steps = rng.normal(s.mean, s.sd, (samples, n))
+            blocks = ((rows, rng.normal(s.mean, s.sd, shape)) for rows, shape in shapes)
         else:
-            steps = s.location + s.scale * rng.standard_cauchy((samples, n))
-        lf = float(_coerce_level(level))
-        sums = np.cumsum(steps.T, axis=0, out=np.empty((n, samples)))
-        del steps  # free the draws before the signs are formed
-        if first == 0:
-            yield np.sign(-lf)
-        for col in sums[max(first, 1) - 1 :]:
-            yield np.sign(col - lf if lf else col)
-        return
-    level_q = _coerce_level(level)
-    if s.kind == "from_dist":
-        assert s.dist is not None
-        k, shift = s.dist.joint(level_q)
-        table = [x * k for x in s.dist.points]
-        code = _draw_indices(rng, _float_cumulative(s.dist.masses, s.dist.den), (samples, n))
+            blocks = (
+                (rows, s.location + s.scale * rng.standard_cauchy(shape)) for rows, shape in shapes
+            )
+
+        def rule(steps: np.ndarray, out: np.ndarray) -> None:
+            sums = _running_sums(np.ascontiguousarray(steps.T))[read - 1 :]
+            np.sign(sums - lf if lf else sums, out=out, casting="unsafe")
+
     else:
-        shift = level_q.numerator
-        den = level_q.denominator
-        table = _signed_table([f * den for f in _factorials(s.trunc)])
-        idx, up = _factorial_draws(rng, s.trunc, (samples, n))
-        code = idx + up * (s.trunc + 1)
-    if first == 0:
-        yield (shift < 0) - (shift > 0)
-    yield from _signs(table, code, shift, max(first, 1))
+        if s.kind == "from_dist":
+            assert s.dist is not None
+            k, shift = s.dist.joint(level_q)
+            table = [x * k for x in s.dist.points]
+            blocks = _index_blocks(rng, _float_cumulative(s.dist.masses, s.dist.den), samples, n)
+        else:
+            shift, den = level_q.numerator, level_q.denominator
+            magnitudes = _factorials(s.trunc)
+            table = _signed_table([f * den for f in magnitudes] if den > 1 else magnitudes)
+            code, up = _factorial_draws(rng, s.trunc, (samples, n))
+            code += up * (s.trunc + 1)
+            blocks = ((rows, code[rows]) for rows in _row_blocks(samples, n))
+        rule = _sign_rule(table, n, shift, read)
+    for rows, steps in blocks:
+        out = np.empty((n + 1 - first, len(steps)), dtype=np.int8)
+        out[0] = zero  # the rule overwrites it unless first = 0
+        rule(steps, out[read - first :])
+        yield rows, out
 
 
 def mc_crossing(
@@ -396,8 +393,10 @@ def mc_crossing(
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     params = {"n": n, "level": str(level), "sampler": s.describe()}
-    prev, cur = _path_signs(s, n, samples, seed, level, n - 1)
-    hits = int(np.count_nonzero(prev != cur))
+    signs = np.empty((2, samples), dtype=np.int8)
+    for rows, block in _path_signs(s, n, samples, seed, level, n - 1):
+        signs[:, rows] = block
+    hits = int(np.count_nonzero(signs[0] != signs[1]))
     return _bernoulli_estimate("crossing", hits, samples, seed, params)
 
 
@@ -407,11 +406,10 @@ def mc_sign_changes(s: StepSampler, N: int, samples: int, seed: int) -> McEstima
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     params = {"N": N, "sampler": s.describe()}
-    counts = np.zeros(samples, dtype=np.int64)
-    prev = 0
-    for cur in _path_signs(s, N, samples, seed, 0, 1):
-        counts += cur != prev
-        prev = cur
+    counts = np.empty(samples, dtype=np.int64)
+    # Time 0 is in each block, so a path's first nonzero sign counts as a change.
+    for rows, block in _path_signs(s, N, samples, seed, 0, 0):
+        counts[rows] = np.count_nonzero(block[1:] != block[:-1], axis=0)
     return _count_estimate("sign_changes", counts, samples, seed, params)
 
 
@@ -434,9 +432,11 @@ def mc_top_two_tie(pk_sampler: StepSampler, n: int, samples: int, seed: int) -> 
     else:
         assert pk_sampler.dist is not None
         cum = _float_cumulative(pk_sampler.dist.masses, pk_sampler.dist.den)
-    idx = _draw_indices(rng, cum, (samples, n))
-    top = np.sort(idx, axis=1)
-    hits = int(np.count_nonzero(top[:, -1] == top[:, -2]))
+    tie = np.empty(samples, dtype=bool)
+    for rows, top in _index_blocks(rng, cum, samples, n):
+        top.sort(axis=1)
+        tie[rows] = top[:, -1] == top[:, -2]
+    hits = int(np.count_nonzero(tie))
     return _bernoulli_estimate("top_two_tie", hits, samples, seed, params)
 
 

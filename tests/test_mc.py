@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -32,11 +33,11 @@ from lcross import (
 )
 from lcross.acceptance import _random_dist
 from lcross.mc import (
-    _draw_indices,
+    _BLOCK,
     _factorials,
     _float_cumulative,
+    _index_blocks,
     _index_cumulative,
-    _partial_sums,
     _signed_table,
     _signs,
 )
@@ -387,8 +388,9 @@ def _sign_cases(draw):
     # A few entries and their negations, so that paths cancel often.
     palette = draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=6))
     palette += [table.index(-table[i]) for i in palette if -table[i] in table]
-    samples = draw(st.sampled_from([1, 7, 64, 3000]))
     n = draw(st.integers(1, 12))
+    # Three whole row blocks and part of a fourth, so doubt rows fall in several blocks.
+    samples = draw(st.sampled_from([1, 7, 64, 3000, 3 * max(1, _BLOCK // n) + 5]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     code = rng.choice(np.array(palette), (samples, n))
     # A shift equal to a reachable sum forces exact zeros.
@@ -411,9 +413,11 @@ _SWING += [-(2**60 + o) for o in (132, 230, 237, 120, -123)]
 @example(case=(_SWING, np.arange(10)[None, :], sum(_SWING) + 1, 1))
 def test_signs_equal_exact_partial_sums(case):
     table, code, shift, first = case
-    got = np.array(list(_signs(table, code, shift, first)), dtype=np.int64)
-    exact = [np.sign(col - shift) for col in _partial_sums(table, code, shift)]
-    assert np.array_equal(got, np.array(exact[first - 1 :], dtype=np.int64))
+    got = _signs(table, code, shift, first)
+    # Object arrays hold Python ints, so these running sums are exact.
+    exact = np.cumsum(np.array(table, dtype=object)[code], axis=1)[:, first - 1 :]
+    assert got.dtype == np.int8
+    assert np.array_equal(got, np.sign(exact - shift).T.astype(np.int64))
 
 
 def test_levels_beyond_int64_stay_exact():
@@ -520,6 +524,14 @@ _CUMULATIVES = st.one_of(
 )
 
 
+def _draw_indices(rng, cum, shape):
+    """The indices that _index_blocks yields block by block, as one array."""
+    out = np.empty(shape, dtype=np.intp)
+    for rows, block in _index_blocks(rng, cum, *shape):
+        out[rows] = block
+    return out
+
+
 @settings(max_examples=40, deadline=None)
 @given(cum=_CUMULATIVES, cols=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
 def test_draw_indices_equal_searchsorted(cum, cols, seed):
@@ -529,7 +541,7 @@ def test_draw_indices_equal_searchsorted(cum, cols, seed):
     u = np.concatenate([cum, np.nextafter(cum, 0), np.nextafter(cum, 2), edges])
     u = u[(u >= 0) & (u < 1)]
     u = np.random.default_rng(seed).permutation(u)
-    got = _draw_indices(_Feed(u), cum, u.shape)
+    got = _draw_indices(_Feed(u), cum, (u.size, 1)).ravel()
     assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
     # Seeded streams: same indices, and the stream is left where one
     # rng.random(shape) call leaves it.
@@ -537,4 +549,71 @@ def test_draw_indices_equal_searchsorted(cum, cols, seed):
     a, b = seeded_stream(seed, 0), seeded_stream(seed, 0)
     got = _draw_indices(a, cum, shape)
     assert np.array_equal(got, np.searchsorted(cum, b.random(shape), side="right"))
-    assert got.dtype == np.intp and a.random() == b.random()
+    assert a.random() == b.random()
+
+
+# Exact results of seeded streams long enough to span several row blocks of
+# the sign engine and of the tie draws, recorded before the engine drew,
+# summed and signed one block at a time.  Each sample count covers at least
+# three whole blocks and ends on a partial one, and the last cases have more
+# steps than a block, so each of their blocks holds one row.
+PINNED_BLOCK_SAMPLERS = {
+    **PINNED_DRAW_SAMPLERS,
+    "big3": lambda: from_dist(make_dist(NEAR_2_61)),
+    "fh200": lambda: factorial_heavy(200),
+}
+PINNED_BLOCKS = [
+    ("crossing", "rad", 8, "0", 24581, "0x1.15f186165980bp-2", "0x1.6c55a5b093673p-8"),
+    ("crossing", "lazy", 12, "1/2", 16390, "0x1.532034fb08773p-4", "0x1.147d9602b15c1p-8"),
+    ("crossing", "gauss", 16, "1/2", 12300, "0x1.4f0194f0194f0p-4", "0x1.3d65552096ee1p-8"),
+    ("crossing", "cauchy", 8, "-1", 24581, "0x1.60185410f4734p-4", "0x1.cb4d6475affadp-9"),
+    ("crossing", "big3", 8, "5/2", 24581, "0x1.9b953ae4eebe4p-4", "0x1.eca0d7780ea2cp-9"),
+    ("crossing", "fh64", 12, "1/3", 16390, "0x1.65de732534831p-5", "0x1.9a26b5db221acp-9"),
+    ("crossing", "fh200", 8, "-7", 24581, "0x1.08723a0cf9fdap-4", "0x1.92aea2f01e9bep-9"),
+    ("sign_changes", "rad", 16, None, 12300, "0x1.6071390713907p+2", "0x1.009ee88b53d7fp-4"),
+    ("sign_changes", "lazy", 8, None, 24581, "0x1.2c0c5f5b08979p+1", "0x1.206773716c28bp-6"),
+    ("sign_changes", "gauss", 12, None, 16390, "0x1.42d3bc265c675p+1", "0x1.7c5cc0355492fp-6"),
+    ("sign_changes", "cauchy", 16, None, 12300, "0x1.3e3871e3871e4p+1", "0x1.9841c31f23b5dp-6"),
+    ("sign_changes", "big3", 12, None, 16390, "0x1.2df9b09771cd5p+1", "0x1.a293dbbd04edbp-6"),
+    ("sign_changes", "fh64", 8, None, 24581, "0x1.0ad61a2ea2e78p+1", "0x1.d7432f8bb7002p-7"),
+    ("sign_changes", "fh200", 12, None, 16390, "0x1.1fc105e7724d5p+1", "0x1.3407bed7eef95p-6"),
+    ("top_two_tie", "fh64", 16, None, 12300, "0x1.23b7123b7123bp-5", "0x1.ad438d90ec350p-9"),
+    ("top_two_tie", "tri8", 12, None, 16390, "0x1.a6b85eb71ed52p-1", "0x1.7cb27b750c57dp-8"),
+    ("top_two_tie", "fh200", 8, None, 24581, "0x1.5243b723cb781p-5", "0x1.4604cf9e613fdp-9"),
+    # 65538 < level < 65539 = n: every path of unit steps crosses at time n.
+    ("crossing", "pm", 65539, "131077/2", 101, "0x1.0000000000000p+0", "0x1.446f86562d9fbp-7"),
+    ("sign_changes", "lazy", 65539, None, 101, "0x1.0f2d9faee41e7p+8", "0x1.3693546cdfa21p+5"),
+    ("sign_changes", "gauss", 65539, None, 101, "0x1.5ce41e6a74981p+7", "0x1.871eb3e31df6cp+4"),
+]
+
+
+@pytest.mark.parametrize("fn,sampler,n,level,samples,mean,half", PINNED_BLOCKS)
+def test_pinned_block_boundaries(fn, sampler, n, level, samples, mean, half):
+    rows = max(1, _BLOCK // n)
+    assert n > _BLOCK or (samples > 3 * rows and samples % rows)
+    s = PINNED_BLOCK_SAMPLERS[sampler]()
+    if fn == "crossing":
+        est = mc_crossing(s, n, F(level), samples, 13)
+    elif fn == "sign_changes":
+        est = mc_sign_changes(s, n, samples, 13)
+    else:
+        est = mc_top_two_tie(s, n, samples, 13)
+    assert (est.mean.hex(), est.half_width_95.hex()) == (mean, half)
+
+
+def test_estimators_hold_one_block_of_paths():
+    # One samples x n array of 8-byte steps would be 12.8 MB for the first
+    # call and 10.24 MB for the second; a call keeps its int8 signs or its
+    # counts, plus one block of temporaries.
+    for call in (
+        lambda: mc_crossing(from_dist(rademacher()), 16, 0, 100_000, 3),
+        lambda: mc_sign_changes(gaussian(), 32, 40_000, 3),
+    ):
+        call()  # modules that numpy imports on first use are not the call's arrays
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
