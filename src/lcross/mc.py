@@ -9,12 +9,14 @@ draws, sums and signs one block of about _BLOCK steps at a time, so a
 call holds the samples-sized output it keeps plus one block.  Discrete
 samplers' signs are exact: integer sums decide them, or a float64 screen
 under a proven error bound (_sign_rule).  Only the continuous samplers
-use floating point positions.  Discrete draws invert
-the float cumulative weights through a bucketed guide table
-(_index_blocks), bit-identical to np.searchsorted(cum, u, side="right").
-All randomness comes from counter-based Philox streams keyed by
-(seed, stream_id), consumed by the blocks in the order of one whole
-draw, so results are reproducible and independent of parallelism.
+use floating point positions.  Discrete draws invert the float cumulative
+weights through a bucketed guide table (_index_blocks), bit-identical to
+np.searchsorted(cum, u, side="right").  All randomness comes from
+counter-based Philox streams keyed by (seed, stream_id), consumed by the
+blocks in the order of one whole draw, so results are reproducible and
+independent of parallelism.  factorial_heavy's sign bits follow all its
+samples*n index uniforms, so they come from a second generator on the
+same key, advanced past those draws, four per Philox counter step.
 """
 
 from __future__ import annotations
@@ -210,14 +212,21 @@ def _index_cumulative(trunc: int) -> np.ndarray:
     return cum
 
 
-def _factorial_draws(
-    rng: np.random.Generator, trunc: int, shape: Tuple[int, int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Indices k in 1..trunc, then sign bits (1 for +k!), in that order, as whole arrays."""
-    idx = np.empty(shape, dtype=np.intp)
-    for rows, block in _index_blocks(rng, _index_cumulative(trunc), *shape):
-        np.add(block, 1, out=idx[rows])
-    return idx, rng.integers(0, 2, shape)
+def _factorial_blocks(
+    seed: int, trunc: int, samples: int, n: int
+) -> Iterator[Tuple[slice, np.ndarray]]:
+    """Per row block: its rows and step codes 2k + b, k in 1..trunc and b = 1 for +k!.
+
+    The codes overwrite the index draws, so a block holds no array of its own.
+    """
+    cum, bits = _index_cumulative(trunc), seeded_stream(seed, 0)
+    bits.bit_generator.advance(samples * n // 4)
+    bits.random(samples * n % 4)
+    for rows, code in _index_blocks(seeded_stream(seed, 0), cum, samples, n):
+        code += 1
+        code <<= 1
+        code += bits.integers(0, 2, code.shape)
+        yield rows, code
 
 
 def _factorials(trunc: int) -> List[int]:
@@ -226,8 +235,8 @@ def _factorials(trunc: int) -> List[int]:
 
 
 def _signed_table(magnitudes: List[int]) -> List[int]:
-    """Entry k is -v_k and entry k + len(magnitudes) is +v_k."""
-    return [-v for v in magnitudes] + magnitudes
+    """Entry 2k is -v_k and entry 2k + 1 is +v_k."""
+    return [x for v in magnitudes for x in (-v, v)]
 
 
 def _coerce_level(level: LevelLike) -> Fraction:
@@ -291,7 +300,7 @@ def _sign_rule(
     included.  Rows with a read time that neither rule decides are summed
     exactly, so every sign written is exact.
     """
-    reach = max(abs(v) for v in table) * n + abs(shift)
+    reach = max(max(table), -min(table)) * n + abs(shift)
     if reach < _INT64_SAFE:
         ints = np.array(table, dtype=np.int64)
 
@@ -318,9 +327,10 @@ def _sign_rule(
     def screen_rule(code: np.ndarray, out: np.ndarray) -> None:
         acc = _running_sums(pairs[code.T])[first - 1 :]
         d = acc.real - s if s else acc.real
-        undecided = np.abs(d) <= acc.imag * scale + floor
-        undecided &= acc.imag >= exact_below
         np.sign(d, out=out, casting="unsafe")
+        bound = acc.imag * scale  # |d| and the bound in place: few temporaries per block
+        undecided = np.abs(d, out=d) <= np.add(bound, floor, out=bound)
+        undecided &= acc.imag >= exact_below
         doubt = np.flatnonzero(undecided.any(axis=0))
         if doubt.size:
             out[:, doubt] = exact_signs(code[doubt])
@@ -328,24 +338,13 @@ def _sign_rule(
     return screen_rule
 
 
-def _signs(table: List[int], code: np.ndarray, shift: int, first: int) -> np.ndarray:
-    """Exact sgn(S_k - shift), k = first..n, of steps table[code], as int8 times x samples."""
-    samples, n = code.shape
-    rule = _sign_rule(table, n, shift, first)
-    out = np.empty((n + 1 - first, samples), dtype=np.int8)
-    for rows in _row_blocks(samples, n):
-        rule(code[rows], out[:, rows])
-    return out
-
-
 def _path_signs(
     s: StepSampler, n: int, samples: int, seed: int, level: LevelLike, first: int
 ) -> Iterator[Tuple[slice, np.ndarray]]:
     """Per row block: its rows and sgn(S_k - l), k = first..n, as int8 times x rows.
 
-    Blocks draw their steps from the (seed, 0) stream in turn; factorial_heavy
-    draws whole, since its stream holds every index before the first sign bit.
-    Integer positions are on the common denominator of steps and level.
+    Blocks draw their steps from the (seed, 0) stream in turn.  Integer
+    positions are on the common denominator of steps and level.
     """
     rng = seeded_stream(seed, 0)
     read, level_q = max(first, 1), _coerce_level(level)
@@ -374,9 +373,7 @@ def _path_signs(
             shift, den = level_q.numerator, level_q.denominator
             magnitudes = _factorials(s.trunc)
             table = _signed_table([f * den for f in magnitudes] if den > 1 else magnitudes)
-            code, up = _factorial_draws(rng, s.trunc, (samples, n))
-            code += up * (s.trunc + 1)
-            blocks = ((rows, code[rows]) for rows in _row_blocks(samples, n))
+            blocks = _factorial_blocks(seed, s.trunc, samples, n)
         rule = _sign_rule(table, n, shift, read)
     for rows, steps in blocks:
         out = np.empty((n + 1 - first, len(steps)), dtype=np.int8)
@@ -483,19 +480,22 @@ def factorial_dominance_stats(trunc: int, n: int, samples: int, seed: int) -> di
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n}")
     sampler = factorial_heavy(trunc)
-    idx, up = _factorial_draws(seeded_stream(seed, 0), trunc, (samples, n))
-    signed = _signed_table(_factorials(trunc))
-    (total,) = _signs(signed, idx + up * (trunc + 1), 0, n)
-    rows, at = np.arange(samples), idx.argmax(axis=1)
-    top = idx[rows, at]
-    # The top step counted negative and every other step positive: the sum
-    # is negative exactly when top! exceeds the sum of the other magnitudes.
-    margin_code = idx + (trunc + 1)
-    margin_code[rows, at] = top
-    (margin,) = _signs(signed, margin_code, 0, n)
-    distinct = np.count_nonzero(idx == top[:, None], axis=1) == 1
-    dominant = distinct & (margin < 0)
-    agree = distinct & (total == 2 * up[rows, at] - 1)
+    distinct, dominant, agree = np.empty((3, samples), dtype=bool)
+    rule = _sign_rule(_signed_table(_factorials(trunc)), n, 0, n)
+    for rows, code in _factorial_blocks(seed, trunc, samples, n):
+        total, margin = np.empty((2, 1, len(code)), dtype=np.int8)
+        rule(code, total)
+        # A largest code has a largest index: the top step, when that index is unique.
+        at = np.arange(len(code)), code.argmax(axis=1)
+        top = code[at]
+        code |= 1
+        distinct[rows] = np.count_nonzero(code == (top | 1)[:, None], axis=1) == 1
+        # The top step counted negative and every other step positive: the sum
+        # is negative exactly when top! exceeds the sum of the other magnitudes.
+        code[at] = top & ~1
+        rule(code, margin)
+        np.logical_and(distinct[rows], margin[0] < 0, out=dominant[rows])
+        np.logical_and(distinct[rows], total[0] == 2 * (top & 1) - 1, out=agree[rows])
     return {
         "sampler": sampler.describe(),
         "samples": samples,

@@ -31,6 +31,7 @@ from lcross import (
     top_two_tie_prob,
     uniform_range,
 )
+from lcross import mc
 from lcross.acceptance import _random_dist
 from lcross.mc import (
     _BLOCK,
@@ -38,8 +39,9 @@ from lcross.mc import (
     _float_cumulative,
     _index_blocks,
     _index_cumulative,
+    _row_blocks,
+    _sign_rule,
     _signed_table,
-    _signs,
 )
 
 
@@ -266,6 +268,15 @@ def test_factorial_dominance_certificate():
         assert stats == factorial_dominance_stats(trunc, n, 3000, seed)
 
 
+def test_factorial_dominance_allocates_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew before allocating the samples-sized flags")
+
+    monkeypatch.setattr(mc, "_factorial_blocks", no_draws)
+    with pytest.raises(MemoryError):
+        factorial_dominance_stats(64, 8, 10**15, 0)
+
+
 def test_estimate_json_shape():
     est = mc_crossing(from_dist(rademacher()), 2, 0, 1000, 4)
     doc = est.to_json_dict()
@@ -313,12 +324,17 @@ PINNED_ESTIMATES = [
     ("crossing", "fh20", 6, "-5040", 12, "0x1.999999999999ap-5", "0x1.94133fcaa5aabp-6"),
 ]
 PINNED_DOMINANCE = [
-    ((20, 8, 11), 275, 266, 266, 275),
-    ((20, 8, 12), 275, 266, 266, 273),
-    ((64, 16, 11), 291, 289, 289, 291),
-    ((64, 16, 12), 286, 286, 286, 286),
-    ((200, 8, 11), 285, 283, 283, 284),
-    ((200, 8, 12), 289, 284, 284, 288),
+    ((20, 8, 11, 300), 275, 266, 266, 275),
+    ((20, 8, 12, 300), 275, 266, 266, 273),
+    ((64, 16, 11, 300), 291, 289, 289, 291),
+    ((64, 16, 12, 300), 286, 286, 286, 286),
+    ((200, 8, 11, 300), 285, 283, 283, 284),
+    ((200, 8, 12, 300), 289, 284, 284, 288),
+    # samples * n = 196626 and 303 end the index draws 2 and 3 draws into a
+    # Philox counter step, where the sign bits begin; the first case spans
+    # three whole row blocks and part of a fourth.
+    ((64, 6, 13, 32771), 30547, 29338, 29338, 30441),
+    ((200, 3, 5, 101), 94, 86, 86, 90),
 ]
 
 
@@ -337,10 +353,10 @@ def test_pinned_big_integer_streams(fn, sampler, n, level, seed, mean, half):
 
 @pytest.mark.parametrize("args,distinct,certified,certified_ok,distinct_ok", PINNED_DOMINANCE)
 def test_pinned_dominance_streams(args, distinct, certified, certified_ok, distinct_ok):
-    trunc, n, seed = args
-    assert factorial_dominance_stats(trunc, n, 300, seed) == {
+    trunc, n, seed, samples = args
+    assert factorial_dominance_stats(trunc, n, samples, seed) == {
         "sampler": {"kind": "factorial_heavy", "trunc": trunc},
-        "samples": 300,
+        "samples": samples,
         "seed": seed,
         "n": n,
         "distinct_top": distinct,
@@ -413,7 +429,11 @@ _SWING += [-(2**60 + o) for o in (132, 230, 237, 120, -123)]
 @example(case=(_SWING, np.arange(10)[None, :], sum(_SWING) + 1, 1))
 def test_signs_equal_exact_partial_sums(case):
     table, code, shift, first = case
-    got = _signs(table, code, shift, first)
+    samples, n = code.shape
+    rule = _sign_rule(table, n, shift, first)
+    got = np.empty((n + 1 - first, samples), dtype=np.int8)
+    for rows in _row_blocks(samples, n):
+        rule(code[rows], got[:, rows])
     # Object arrays hold Python ints, so these running sums are exact.
     exact = np.cumsum(np.array(table, dtype=object)[code], axis=1)[:, first - 1 :]
     assert got.dtype == np.int8
@@ -580,6 +600,10 @@ PINNED_BLOCKS = [
     ("top_two_tie", "fh64", 16, None, 12300, "0x1.23b7123b7123bp-5", "0x1.ad438d90ec350p-9"),
     ("top_two_tie", "tri8", 12, None, 16390, "0x1.a6b85eb71ed52p-1", "0x1.7cb27b750c57dp-8"),
     ("top_two_tie", "fh200", 8, None, 24581, "0x1.5243b723cb781p-5", "0x1.4604cf9e613fdp-9"),
+    # samples * n = 196637 and 196659 end factorial_heavy's index draws 1 and
+    # 3 draws into a Philox counter step, where its sign bits begin.
+    ("crossing", "fh64", 7, "1/3", 28091, "0x1.3af41b72f6a8bp-4", "0x1.985e356fa6777p-9"),
+    ("sign_changes", "fh200", 9, None, 21851, "0x1.0c8aaacaa88adp+1", "0x1.ef008d315eb5bp-7"),
     # 65538 < level < 65539 = n: every path of unit steps crosses at time n.
     ("crossing", "pm", 65539, "131077/2", 101, "0x1.0000000000000p+0", "0x1.446f86562d9fbp-7"),
     ("sign_changes", "lazy", 65539, None, 101, "0x1.0f2d9faee41e7p+8", "0x1.3693546cdfa21p+5"),
@@ -602,12 +626,15 @@ def test_pinned_block_boundaries(fn, sampler, n, level, samples, mean, half):
 
 
 def test_estimators_hold_one_block_of_paths():
-    # One samples x n array of 8-byte steps would be 12.8 MB for the first
-    # call and 10.24 MB for the second; a call keeps its int8 signs or its
-    # counts, plus one block of temporaries.
-    for call in (
-        lambda: mc_crossing(from_dist(rademacher()), 16, 0, 100_000, 3),
-        lambda: mc_sign_changes(gaussian(), 32, 40_000, 3),
+    # One samples x n array of 8-byte steps would be 12.8 MB for the first,
+    # third and fourth calls and 10.24 MB for the second; a call keeps its int8
+    # signs, counts or flags, plus one block of temporaries.  factorial_heavy
+    # blocks sum complex pairs under the float screen.
+    for call, bound in (
+        (lambda: mc_crossing(from_dist(rademacher()), 16, 0, 100_000, 3), 4_000_000),
+        (lambda: mc_sign_changes(gaussian(), 32, 40_000, 3), 4_000_000),
+        (lambda: mc_crossing(factorial_heavy(64), 16, 0, 100_000, 3), 8_000_000),
+        (lambda: factorial_dominance_stats(64, 16, 100_000, 3), 8_000_000),
     ):
         call()  # modules that numpy imports on first use are not the call's arrays
         tracemalloc.start()
@@ -616,4 +643,4 @@ def test_estimators_hold_one_block_of_paths():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4_000_000
+        assert peak < bound
