@@ -218,13 +218,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     except TheoremViolation as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except LcrossError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LcrossError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

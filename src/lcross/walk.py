@@ -18,9 +18,9 @@ import io
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, count, repeat
+from itertools import compress, count
 from math import sqrt
-from operator import add, mul, sub
+from operator import mul
 from typing import Iterator, List, Optional, Tuple
 
 # lattice_convolve and to_lattice stay bound: perfbench/spans.py traces them in this namespace.
@@ -128,11 +128,6 @@ def _flag_str(flag: Optional[bool]) -> str:
     return "true" if flag else "false"
 
 
-def _clip(v: int, top: int) -> int:
-    """v clamped into 0..top."""
-    return 0 if v < 0 else top if v > top else v
-
-
 def _check_horizon(spec: WalkSpec) -> None:
     """Refuse a horizon whose S_horizon spans more sites than the cap.
 
@@ -158,7 +153,7 @@ def _powers(
     remaining last - n steps, so the shifted adds on R_n are exact: R_n - [x0, v_max] lies
     in R_{n-1}.  Slots hold base^cap, cap doubling up to last as n passes it (`_widen`).
     """
-    end, pairs = len(nums), [(j, m) for j, m in enumerate(nums) if m]
+    end, nnz, pairs = len(nums), len(nums) - nums.count(0), None
     width, v_max = end - 1, x0 + (end - 1) * g
     da, db = x0 - max(v_max, 0), min(x0, 0) - x0  # R_n: (a + n*da) // g, (b + n*db) // g
     a, b = last * max(v_max, 0) - q_lo, q_hi - last * min(x0, 0)
@@ -173,10 +168,11 @@ def _powers(
                 cur, step_x = _widen(cur, wb, wider, hi - lo + 1), _widen(step_x, wb, wider, end)
                 wb = wider
         i_lo, i_hi = max(-(a_n // g), 0), min(b_n // g, n * width)
-        if hi - lo + 1 < len(pairs):  # then S_{n-1} has fewer nonzero sites than the step
+        if hi - lo + 1 < nnz:  # then S_{n-1} has fewer nonzero sites than the step
             mine = enumerate(_unpack(cur, wb, 0, hi - lo + 1), lo)
             cur = _shift_add(step_x, 0, mine, i_lo, i_hi, wb)
-        else:
+        else:  # the step's nonzero (site, mass) pairs, listed on first use
+            pairs = pairs or [(j, m) for j, m in enumerate(nums) if m]
             cur = _shift_add(cur, lo, pairs, i_lo, i_hi, wb)
         lo, hi = i_lo, i_hi
         den *= base
@@ -192,9 +188,8 @@ def _scan(spec: WalkSpec, last: int) -> Iterator[Tuple[int, ...]]:
     y - l exactly when y lies between l - v and l, ends included.  So with F(c) the step
     mass at v <= c for c < 0, at v >= c for c > 0 and at v != 0 for c = 0, p_n and the
     bound are S_{n-1}'s dot products with w_cross(y) = F(l - y) and w_dom(y) = F(y) +
-    F(-y) (D at y = 0), zero outside Q, the hull of those windows, l and 0.  Along a
-    residue mod g, F's threshold moves one step site per position, so a residue's weights
-    are slices of the step's prefix sums, cached per scan.
+    F(-y) (D at y = 0), zero outside Q, the hull of those windows, l and 0.  The weights
+    are F read through the step law's window query, cached per residue mod g.
     """
     s = spec.step
     k, l = s.joint(spec.level)
@@ -203,25 +198,19 @@ def _scan(spec: WalkSpec, last: int) -> Iterator[Tuple[int, ...]]:
     q_lo, q_hi = min(l - v_max, l, x0, -v_max), max(l - x0, l, -x0, v_max)
     w_lo = max(q_lo, (last - 1) * min(x0, 0))  # the weights cover Q's part of S_0..S_{last-1}
     w_hi = min(q_hi, (last - 1) * max(v_max, 0))
-    pad, m0 = (w_hi - w_lo) // g + 1, s.window(0, 0)
-    below = [0] * pad + [0, *accumulate(nums)] + [s.den] * pad  # at sites < j, at pad + j
-    above = list(map(sub, repeat(s.den), below))  # and at sites >= j
 
-    def beyond(c: int, count: int) -> List[int]:
-        """F(c + t*g) for t < count: slices of the tables, clamped into their padding."""
-        neg = _clip(-(c // g), count)
-        u = neg + (neg < count and c + neg * g == 0)
-        i = _clip(pad + (c - x0) // g + 1, len(below) - neg)
-        j = _clip(pad + u - (x0 - c) // g, len(above) - count + u)
-        return below[i : i + neg] + [s.den - m0] * (u - neg) + above[j : j + count - u]
+    def tail(c: int) -> int:
+        """F(c), read through the step law's window query in its own units."""
+        if c < 0:
+            return s.window(s.points[0], c // k)
+        return s.window(-(-c // k), s.points[-1]) if c else s.den - s.window(0, 0)
 
     def weights(y0: int) -> Tuple[List[int], List[int]]:
         """w_cross and w_dom at y0 + t*g up to w_hi, for w_lo <= y0 < w_lo + g."""
-        count = (w_hi - y0) // g + 1
-        cross = beyond(l - y0 - (count - 1) * g, count)[::-1]  # F(l - y), so F(-y) at l = 0
-        dom = list(map(add, beyond(y0, count), cross)) if l == 0 else []  # read at 0 only
-        if dom and y0 % g == 0:  # then 0 is a position: every v has |v| >= 0
-            dom[-y0 // g] = s.den
+        ys = range(y0, w_hi + 1, g)
+        cross = [tail(l - y) for y in ys]  # F(l - y), so F(-y) at l = 0
+        # Built at level 0 only, where the bound is read; at y = 0 every v has |v| >= 0.
+        dom = [tail(y) + c if y else s.den for y, c in zip(ys, cross)] if l == 0 else []
         return cross, dom
 
     cache, vals, y = {}, [1], 0  # S_0's slots in Q, the first at position y

@@ -420,6 +420,22 @@ def test_scan_reads_the_step_law_not_its_lattice(monkeypatch):
     assert [results(WalkSpec(step=make_dist(s.step.atoms), horizon=6)) for s in specs] == expected
 
 
+def test_wide_step_scan_memory():
+    # The scan's allocations beyond the law's cached views do not grow with the step's
+    # sites: no padded CDF copy, and no (site, mass) list at H = 1, where nothing reads it.
+    # Bounds fixed before the fix; at its parent the two peaks were 18.1 and 4.2 MB.
+    cases = ((uniform_range(0, 99999), 1, 4_000_000), (uniform_range(0, 9999), 2, 3_000_000))
+    for step, horizon, bound in cases:
+        step._dense, step._prefix  # cached on the law, outside the traced span
+        tracemalloc.start()
+        try:
+            crossing_table(WalkSpec(step=step, horizon=horizon))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (horizon, peak)
+
+
 def test_resource_cap(monkeypatch):
     monkeypatch.setenv("LCROSS_MAX_SUPPORT", "10")
     # Refused up front at the first n whose marginal spans more sites than the cap.
