@@ -1,5 +1,7 @@
 """Exact and Monte-Carlo tools for random-walk level-crossing probabilities."""
 
+from importlib import import_module as _import_module
+
 from .dist import (
     DiscreteDist,
     LatticeDist,
@@ -66,20 +68,37 @@ from .dichotomy import (
     simplex_qp_min,
     sym2_kernel,
 )
-from .mc import (
-    McEstimate,
-    StepSampler,
-    cauchy,
-    factorial_dominance_stats,
-    factorial_heavy,
-    from_dist,
-    gaussian,
-    mc_crossing,
-    mc_sign_changes,
-    mc_top_two_tie,
-    seeded_stream,
-    top_two_tie_prob,
+
+# The Monte-Carlo names live in `mc`, the one module that needs numpy.  They
+# are served on first use (PEP 562), so the exact core imports only the
+# standard library.
+_MC_NAMES = (
+    "StepSampler",
+    "McEstimate",
+    "from_dist",
+    "gaussian",
+    "cauchy",
+    "factorial_heavy",
+    "mc_crossing",
+    "mc_sign_changes",
+    "mc_top_two_tie",
+    "seeded_stream",
+    "factorial_dominance_stats",
+    "top_two_tie_prob",
 )
+
+
+def __getattr__(name):
+    # import_module, because `from . import mc` would ask this hook for `mc` again.
+    if name == "mc" or name in _MC_NAMES:
+        mc = _import_module(".mc", __name__)
+        return mc if name == "mc" else getattr(mc, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MC_NAMES) | {"mc"})
+
 
 __version__ = "0.1.0"
 
@@ -94,8 +113,6 @@ __all__ = [
     "KernelSpec",
     "GramMatrix",
     "DichotomyVerdict",
-    "StepSampler",
-    "McEstimate",
     "LcrossError",
     "InvalidDistribution",
     "InvalidInterval",
@@ -143,14 +160,5 @@ __all__ = [
     "dichotomy_check",
     "lemma1_witness",
     "problem_from_json_dict",
-    "from_dist",
-    "gaussian",
-    "cauchy",
-    "factorial_heavy",
-    "mc_crossing",
-    "mc_sign_changes",
-    "mc_top_two_tie",
-    "seeded_stream",
-    "factorial_dominance_stats",
-    "top_two_tie_prob",
+    *_MC_NAMES,
 ]

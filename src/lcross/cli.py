@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from . import acceptance
 from .dichotomy import _check_cap, dichotomy_check, lemma1_witness, problem_from_json_dict
 from .dist import (
     DiscreteDist,
@@ -26,7 +25,6 @@ from .dist import (
     uniform_range,
 )
 from .errors import InvalidDistribution, InvalidKernel, LcrossError, TheoremViolation
-from .mc import cauchy, factorial_heavy, from_dist, gaussian, mc_crossing, mc_sign_changes, mc_top_two_tie
 from .rationals import as_rational, format_rational
 from .symmetrization import optimality_family, ratio_scan
 from .walk import WalkSpec, crossing_table
@@ -122,6 +120,17 @@ def _cmd_lemma1(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
+    # Imported here, so that the exact subcommands never load numpy.
+    from .mc import (
+        cauchy,
+        factorial_heavy,
+        from_dist,
+        gaussian,
+        mc_crossing,
+        mc_sign_changes,
+        mc_top_two_tie,
+    )
+
     if args.sampler == "gaussian":
         sampler = gaussian(args.mean, args.sd)
     elif args.sampler == "cauchy":
@@ -141,6 +150,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def _cmd_repro(args: argparse.Namespace) -> int:
+    from . import acceptance
+
     results = acceptance.run_all()
     print(acceptance.format_table(results))
     return 0 if all(r.passed for r in results) else 1
@@ -223,6 +234,10 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except ModuleNotFoundError as exc:
+        # numpy serves only `mc` and `repro`; the exact subcommands run without it.
+        print(f"error: lcross {args.command} needs {exc.name}: {exc}", file=sys.stderr)
         return 2
 
 
