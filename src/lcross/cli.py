@@ -150,6 +150,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def _cmd_repro(args: argparse.Namespace) -> int:
+    import mpmath  # noqa: F401 - check 9 needs it, so a missing one fails before check 1
     from . import acceptance
 
     results = acceptance.run_all()

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, List, Optional, Sequence, Tuple
+from math import lcm
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .dist import DiscreteDist, interval_prob
 from .errors import InvalidKernel, ResourceLimit, TheoremViolation
@@ -137,71 +138,85 @@ def _check_cap(size: int, cap: int) -> None:
         )
 
 
-def _solve_linear(
-    rows: List[List[Fraction]], rhs: List[Fraction]
-) -> Optional[List[Fraction]]:
-    """Exact Gauss-Jordan solve of rows * x = rhs.
+def _solve_fraction_free(aug: List[List[int]]) -> Optional[Tuple[List[int], int]]:
+    """Fraction-free Gauss-Jordan (Bareiss 1968) solve of the integer system aug = [M | b].
 
-    Returns a solution with free variables set to zero, or None when the
-    system is inconsistent.
+    Each column's pivot p is its first nonzero entry at or below row r; every other
+    row becomes (p*row - row[col]*pivot_row) // prev, prev the pivot before p.  Each
+    entry is a minor of aug, so the division is exact, and zero exactly when exact
+    Gauss-Jordan's entry is, so the pivots are the same.  Every pivot entry ends equal
+    to the last pivot: the result is (x, d), d > 0, the solution x / d with free
+    variables zero, or None if the system is inconsistent.  Overwrites aug.
     """
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivots: List[Tuple[int, int]] = []
-    r = 0
+    m, ncols = len(aug), len(aug[0]) - 1
+    pivots: Dict[int, int] = {}  # column -> row
+    r, prev = 0, 1
     for col in range(ncols):
-        sel = None
-        for rr in range(r, m):
-            if aug[rr][col] != 0:
-                sel = rr
+        for sel in range(r, m):
+            if aug[sel][col]:
                 break
-        if sel is None:
+        else:
             continue
         aug[r], aug[sel] = aug[sel], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for rr in range(m):
-            if rr != r and aug[rr][col] != 0:
-                f = aug[rr][col]
-                aug[rr] = [a - f * b for a, b in zip(aug[rr], aug[r])]
-        pivots.append((r, col))
+        top = aug[r]
+        p = top[col]
+        for i in range(m):
+            f = aug[i][col]
+            if i != r and (f or p != prev):
+                aug[i] = [(p * a - f * b) // prev for a, b in zip(aug[i], top)]
+        pivots[col] = r
+        prev = p
         r += 1
         if r == m:
             break
-    for rr in range(r, m):
-        if aug[rr][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, col in pivots:
-        x[col] = aug[row][ncols]
-    return x
+    if any(row[ncols] for row in aug[r:]):
+        return None
+    sign = 1 if prev > 0 else -1
+    return [sign * aug[pivots[c]][ncols] if c in pivots else 0 for c in range(ncols)], sign * prev
 
 
-def _critical_points(
-    matrix: GramMatrix, cap: int
-) -> Iterator[Tuple[Tuple[Fraction, ...], Fraction]]:
-    """Yield (q, lambda) with A_S q = lambda*1, sum q = 1, q > 0 on each face S.
-
-    Faces come by increasing size, lexicographic within a size; q is padded
-    with zeros to the full support, so lambda = q'Aq = (Aq)_i on S.  All
-    solutions of a face's bordered system share lambda, so taking any one is
-    exact; one outside the open face is dropped, as smaller faces cover it.
-    """
-    _check_cap(len(matrix), cap)
+def _integer_table(matrix: GramMatrix) -> Tuple[List[List[int]], int]:
+    """The entries times L, the lcm of their denominators, as ints; and L."""
     A = matrix.entries
-    n = len(matrix)
+    L = lcm(*(a.denominator for row in A for a in row))
+    return [[a.numerator * (L // a.denominator) for a in row] for row in A], L
+
+
+# A face S and its solution x / d: x on S, then lambda's entry; d > 0.
+_Point = Tuple[Tuple[int, ...], List[int], int]
+
+
+def _new_minima(B: List[List[int]], cap: int) -> Iterator[_Point]:
+    """Yield each critical point (S, x, d) whose lambda is below every earlier one's.
+
+    It solves B_S x_S = x_lam*1, sum x_S = d, x_S > 0 on a face S, B the table
+    scaled by L and x_lam x's last entry, so q = x_S / d (zero off S) has lambda =
+    x_lam / (d*L) = q'Aq = (Aq)_i on S.  Faces come by increasing size, then
+    lexicographically, so the last point yielded is the first minimum.  All
+    solutions of a face's system share lambda, so any one is exact; one outside
+    the open face is dropped, as smaller faces cover it.
+    """
+    _check_cap(len(B), cap)
+    n = len(B)
+    best: Optional[_Point] = None
     for size in range(1, n + 1):
         for subset in combinations(range(n), size):
-            rows = [[A[i][j] for j in subset] + [Fraction(-1)] for i in subset]
-            rows.append([Fraction(1)] * size + [Fraction(0)])
-            sol = _solve_linear(rows, [Fraction(0)] * size + [Fraction(1)])
-            if sol is None or any(x <= 0 for x in sol[:size]):
+            aug = [[B[i][j] for j in subset] + [-1, 0] for i in subset]
+            aug.append([1] * size + [0, 1])
+            sol = _solve_fraction_free(aug)
+            if sol is None or any(v <= 0 for v in sol[0][:size]):
                 continue
-            q = [Fraction(0)] * n
-            for pos, i in enumerate(subset):
-                q[i] = sol[pos]
-            yield tuple(q), sol[size]
+            x, d = sol
+            if best is None or x[-1] * best[2] < best[1][-1] * d:
+                best = (subset, x, d)
+                yield best
+
+
+def _as_fractions(n: int, L: int, point: _Point) -> Tuple[Fraction, Tuple[Fraction, ...]]:
+    """(lambda, q) of a critical point, as Fractions, with q padded to n entries."""
+    subset, x, d = point
+    on = dict(zip(subset, x))
+    return Fraction(x[-1], d * L), tuple(Fraction(on.get(i, 0), d) for i in range(n))
 
 
 def simplex_qp_min(matrix: GramMatrix, cap: int = DEFAULT_CAP) -> Tuple[Fraction, Tuple[Fraction, ...]]:
@@ -212,8 +227,9 @@ def simplex_qp_min(matrix: GramMatrix, cap: int = DEFAULT_CAP) -> Tuple[Fraction
     Vertices are the size-1 faces, so they are always included.  Of equal
     minima, the first face in (size, lexicographic) order gives the minimizer.
     """
-    q, value = min(_critical_points(matrix, cap), key=lambda point: point[1])
-    return value, q
+    B, L = _integer_table(matrix)
+    *_, lowest = _new_minima(B, cap)
+    return _as_fractions(len(B), L, lowest)
 
 
 def _subset_feasible(
@@ -331,24 +347,23 @@ def dichotomy_check(matrix: GramMatrix, cap: int = DEFAULT_CAP) -> DichotomyVerd
     """Decide which branch holds, with exact certificates either way.
 
     One pass over the faces of `simplex_qp_min`.  The first critical point
-    with value <= 0 is the witness; any witness p has p'Ap <= 0, so one
-    turns up on a face no larger than supp(p).  Otherwise the verdict
-    carries the positive minimum and minimizer of `simplex_qp_min`.
+    with value <= 0, always a new minimum, is the witness; any witness p has
+    p'Ap <= 0, so one turns up on a face no larger than supp(p).  Otherwise
+    the verdict carries the positive minimum and minimizer of `simplex_qp_min`.
     """
-    A = matrix.entries
-    best: Optional[Tuple[Tuple[Fraction, ...], Fraction]] = None
-    for q, lam in _critical_points(matrix, cap):
-        if lam <= 0:
-            for i, row in enumerate(A):
-                if q[i] > 0 and sum(a * x for a, x in zip(row, q)) > 0:
+    B, L = _integer_table(matrix)
+    for point in _new_minima(B, cap):
+        subset, x, _ = point
+        if x[-1] <= 0:
+            for i in subset:
+                if sum(B[i][j] * v for j, v in zip(subset, x)) > 0:
                     raise TheoremViolation(
                         f"witness fails its own certificate at index {i}"
                     )
-            return DichotomyVerdict("first_alternative", q, None, None)
-        if best is None or lam < best[1]:
-            best = (q, lam)
-    assert best is not None
-    return DichotomyVerdict("positive_form", None, best[1], best[0])
+            _, witness = _as_fractions(len(B), L, point)
+            return DichotomyVerdict("first_alternative", witness, None, None)
+    value, q = _as_fractions(len(B), L, point)
+    return DichotomyVerdict("positive_form", None, value, q)
 
 
 def lemma1_witness(d: DiscreteDist, window: RationalLike = 1) -> Fraction:

@@ -75,8 +75,9 @@ def over_power(x: int, den: int, base: int) -> Fraction:
     if not x:
         return _coprime(0, 1)
     m = base ** max(60 // base.bit_length(), 1)
-    if den <= m:  # then Fraction's own gcd is word-sized
-        return Fraction(x, den)
+    if den <= m:  # then the gcd is word-sized
+        t = gcd(x, den)
+        return _coprime(x // t, den // t)
     while den > 1:
         t = gcd(x % m, m)
         if t > 1:

@@ -317,5 +317,8 @@ def crossing_table(spec: WalkSpec) -> CrossingReport:
         chain_ok = (slack <= 0 or n * slack * slack <= 4 * den * den) if bounds else None
         dom_ok = cross <= dom if at_zero_level and n >= 2 else None
         scaled = sqrt(n) * (cross / den)  # the float of p, correctly rounded
-        rows.append(CrossingRow(n, p, atom, zero_mass, scaled, lower_ok, chain_ok, dom_ok))
+        row = object.__new__(CrossingRow)  # a frozen __init__ sets each field by object.__setattr__
+        row.__dict__.update(n=n, p=p, atom_at_level=atom, zero_mass=zero_mass, scaled=scaled,
+                            lower_bound_ok=lower_ok, chain_bound_ok=chain_ok, domination_ok=dom_ok)
+        rows.append(row)
     return CrossingReport(spec.level, spec.horizon, symmetric, tuple(rows))

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -427,6 +428,19 @@ def _fake_results(all_pass):
     ]
     rows.append(CriterionResult(10, "check_10", all_pass, "detail", 0.01, 10.0))
     return rows
+
+
+def test_repro_without_mpmath_fails_before_the_first_check(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    _, name, _, limit = acceptance._CRITERIA[0]
+    first = (1, name, lambda: calls.append(1) or (True, "ran"), limit)
+    monkeypatch.setattr(acceptance, "_CRITERIA", [first])
+    assert run(["repro"]) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: lcross repro needs mpmath")
 
 
 def test_repro_exit_codes(monkeypatch, capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lcross import (
     DichotomyVerdict,
@@ -23,6 +25,7 @@ from lcross import (
     sym2_kernel,
 )
 from lcross.acceptance import _oracle_simplex_min, _random_symmetric_matrix
+from lcross.dichotomy import _solve_fraction_free
 
 
 def form_value(matrix, q):
@@ -87,6 +90,93 @@ def test_dichotomy_worked_examples():
     verdict = dichotomy_check(gram_from_table([[-1]]))
     assert verdict.branch == "first_alternative"
     assert verdict.witness == (F(1),) and verdict.min_value is None
+
+
+def gauss_jordan(rows, rhs):
+    """Exact Fraction Gauss-Jordan solve of rows * x = rhs, the reference for the
+    fraction-free solve: the pivot of each column is the first row at or below r
+    with a nonzero entry, and free variables are zero.  None when inconsistent."""
+    m, ncols = len(rows), len(rows[0])
+    aug = [[F(a) for a in row] + [F(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        sel = next((rr for rr in range(r, m) if aug[rr][col] != 0), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        inv = 1 / aug[r][col]
+        aug[r] = [x * inv for x in aug[r]]
+        for rr in range(m):
+            if rr != r and aug[rr][col] != 0:
+                f = aug[rr][col]
+                aug[rr] = [a - f * b for a, b in zip(aug[rr], aug[r])]
+        pivots.append((r, col))
+        r += 1
+        if r == m:
+            break
+    if any(aug[rr][ncols] != 0 for rr in range(r, m)):
+        return None
+    x = [F(0)] * ncols
+    for row, col in pivots:
+        x[col] = aug[row][ncols]
+    return x
+
+
+# Mostly zeros, small values for ties, and a few wide ones for big minors.
+ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3, 10**12 + 39, -(10**9) - 7])
+
+
+@st.composite
+def bordered_systems(draw):
+    """A face's system [A_S, -1; 1..1, 0] x = (0, .., 0, 1) for a k x k A_S, k in 1..8.
+
+    Entries are zero-heavy.  Some rows repeat or negate an earlier row, so many
+    systems are singular; some are zero, forcing lambda = 0, or constant, forcing
+    lambda = c * sum(q) = c, so a zero row and a constant one are inconsistent."""
+    k = draw(st.integers(1, 8))
+    flat = draw(st.lists(ENTRIES, min_size=k * k, max_size=k * k))
+    A = [flat[i * k : (i + 1) * k] for i in range(k)]
+    kinds = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k))
+    for i, kind in enumerate(kinds):
+        j = i - 1 if i else 0
+        A[i] = [A[i], A[i], A[i], A[j], [-a for a in A[j]], [0] * k, [A[i][0]] * k][kind]
+    return [row + [-1] for row in A] + [[1] * k + [0]], [0] * k + [1]
+
+
+SINGULAR = ([[1, 2, -1], [1, 2, -1], [1, 1, 0]], [0, 0, 1])  # a repeated row: lambda is free
+INCONSISTENT = ([[0, 0, -1], [1, 1, -1], [1, 1, 0]], [0, 0, 1])  # lambda = 0 and 1
+
+
+def test_reference_examples_are_singular_and_inconsistent():
+    assert gauss_jordan(*SINGULAR) == [F(2), F(-1), F(0)]
+    assert gauss_jordan(*INCONSISTENT) is None
+
+
+@given(bordered_systems())
+@example(SINGULAR)
+@example(INCONSISTENT)
+@example(([[0, -1], [1, 0]], [0, 1]))
+@settings(max_examples=200, deadline=None)
+def test_fraction_free_solve_matches_gauss_jordan(system):
+    rows, rhs = system
+    want = gauss_jordan(rows, rhs)
+    got = _solve_fraction_free([row + [b] for row, b in zip(rows, rhs)])
+    if want is None:
+        assert got is None
+    else:
+        x, d = got
+        assert d > 0 and all(type(v) is int for v in x)
+        assert [F(v, d) for v in x] == want
+
+
+def test_sym2_twelve_points_pinned():
+    support = [F(k, 2) for k in range(-6, 7) if k]
+    verdict = dichotomy_check(gram_matrix(sym2_kernel(), support))
+    assert verdict.branch == "positive_form" and verdict.witness is None
+    assert verdict.min_value == F(1, 30)
+    mass = {0: F(2, 15), 3: F(3, 10), 6: F(1, 3), 9: F(7, 30)}
+    assert verdict.minimizer == tuple(mass.get(i, F(0)) for i in range(12))
 
 
 def small_integer_table(rng, n):

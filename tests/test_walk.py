@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -63,6 +64,22 @@ def test_crossing_table_rademacher():
     n2 = report.rows[1]
     assert n2.zero_mass == F(1, 2)
     assert n2.lower_bound_ok and n2.chain_bound_ok and n2.domination_ok
+
+
+def test_crossing_rows_behave_as_built_by_the_dataclass():
+    """crossing_table fills each row's __dict__ directly; the row must still equal,
+    hash and print like one from CrossingRow(...), and refuse assignment."""
+    got = crossing_table(WalkSpec(step=rademacher(), level=F(0), horizon=2)).rows
+    want = (
+        walk.CrossingRow(1, F(1), F(0), F(0), 1.0, True, True, None),
+        walk.CrossingRow(2, F(1, 2), F(1, 2), F(1, 2), math.sqrt(2) / 2, True, True, True),
+    )
+    assert got == want
+    assert [hash(row) for row in got] == [hash(row) for row in want]
+    assert [repr(row) for row in got] == [repr(row) for row in want]
+    assert [vars(row) for row in got] == [vars(row) for row in want]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got[0].p = F(0)
 
 
 def test_crossing_table_degenerate_and_asymmetric():
