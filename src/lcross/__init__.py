@@ -57,7 +57,6 @@ from .dichotomy import (
     DichotomyVerdict,
     GramMatrix,
     KernelSpec,
-    custom_table_kernel,
     dichotomy_check,
     first_alternative,
     gram_from_table,
@@ -154,7 +153,6 @@ __all__ = [
     "gram_from_table",
     "sym2_kernel",
     "one_two_three_kernel",
-    "custom_table_kernel",
     "first_alternative",
     "simplex_qp_min",
     "dichotomy_check",

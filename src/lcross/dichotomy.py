@@ -23,39 +23,23 @@ from .rationals import RationalLike, as_rational, format_rational
 
 DEFAULT_CAP = 15
 
-_FAMILIES = ("sym2", "one_two_three", "custom_table")
+_FAMILIES = ("sym2", "one_two_three")
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Symmetric kernel: two built-in indicator families or an explicit table.
+    """Symmetric kernel: one of two built-in indicator families.
 
     sym2 is f(x,y) = 2*1{|x-y| <= 1} - 1{|x+y| <= 1}; one_two_three is
-    f(x,y) = 3*1{|x-y| <= 1} - 1{|x-y| <= 2}.
+    f(x,y) = 3*1{|x-y| <= 1} - 1{|x-y| <= 2}.  An explicit table is a
+    `GramMatrix` itself.
     """
 
     family: str
-    table: Optional[Tuple[Tuple[Fraction, ...], ...]] = None
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise InvalidKernel(f"unknown kernel family {self.family!r}")
-        if self.family == "custom_table":
-            if self.table is None:
-                raise InvalidKernel("custom_table kernel needs a table")
-            _check_symmetric_square(self.table)
-        elif self.table is not None:
-            raise InvalidKernel(f"{self.family} kernel takes no table")
-
-
-def _check_symmetric_square(rows: Sequence[Sequence[Fraction]]) -> None:
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
-        raise InvalidKernel("kernel table must be square and nonempty")
-    for i in range(n):
-        for j in range(i):
-            if rows[i][j] != rows[j][i]:
-                raise InvalidKernel(f"kernel table not symmetric at ({i},{j})")
 
 
 def sym2_kernel() -> KernelSpec:
@@ -66,14 +50,12 @@ def one_two_three_kernel() -> KernelSpec:
     return KernelSpec("one_two_three")
 
 
-def custom_table_kernel(rows: Sequence[Sequence[RationalLike]]) -> KernelSpec:
-    table = tuple(tuple(as_rational(x) for x in row) for row in rows)
-    return KernelSpec("custom_table", table)
-
-
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric matrix a_ij = f(x_i, x_j) over a finite support."""
+    """Symmetric matrix a_ij = f(x_i, x_j) over a finite support of distinct points.
+
+    The one validator of every table, built-in or given.
+    """
 
     support: Tuple[Fraction, ...]
     entries: Tuple[Tuple[Fraction, ...], ...]
@@ -82,9 +64,15 @@ class GramMatrix:
         n = len(self.support)
         if n < 1:
             raise InvalidKernel("support must be nonempty")
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+        if len(set(self.support)) != n:
+            raise ValueError("support values must be distinct")
+        rows = self.entries
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise InvalidKernel("matrix shape does not match the support")
-        _check_symmetric_square(self.entries)
+        for i in range(n):
+            for j in range(i):
+                if rows[i][j] != rows[j][i]:
+                    raise InvalidKernel(f"kernel table not symmetric at ({i},{j})")
 
     def __len__(self) -> int:
         return len(self.support)
@@ -105,24 +93,12 @@ def gram_from_table(rows: Sequence[Sequence[RationalLike]]) -> GramMatrix:
 def _kernel_value(kernel: KernelSpec, x: Fraction, y: Fraction) -> Fraction:
     if kernel.family == "sym2":
         return Fraction(2 * (abs(x - y) <= 1) - (abs(x + y) <= 1))
-    if kernel.family == "one_two_three":
-        return Fraction(3 * (abs(x - y) <= 1) - (abs(x - y) <= 2))
-    raise InvalidKernel("custom_table kernels are evaluated by index, not by value")
+    return Fraction(3 * (abs(x - y) <= 1) - (abs(x - y) <= 2))
 
 
 def gram_matrix(kernel: KernelSpec, support: Sequence[RationalLike]) -> GramMatrix:
     """Evaluate the kernel on all support pairs, exactly."""
     xs = tuple(as_rational(x) for x in support)
-    if len(set(xs)) != len(xs):
-        raise ValueError("support values must be distinct")
-    if kernel.family == "custom_table":
-        assert kernel.table is not None
-        if len(kernel.table) != len(xs):
-            raise InvalidKernel(
-                f"kernel table is {len(kernel.table)}x{len(kernel.table)}, "
-                f"support has {len(xs)} points"
-            )
-        return GramMatrix(xs, kernel.table)
     entries = tuple(
         tuple(_kernel_value(kernel, x, y) for y in xs) for x in xs
     )
@@ -396,22 +372,21 @@ def problem_from_json_dict(obj: object) -> GramMatrix:
     if not isinstance(raw_support, list) or not raw_support:
         raise InvalidKernel('"support" must be a nonempty list')
     try:
-        support = [as_rational(x) for x in raw_support]
+        support = tuple(as_rational(x) for x in raw_support)
     except (TypeError, ValueError) as exc:
         raise InvalidKernel(f'bad "support" entry: {exc}') from exc
     raw_kernel = obj["kernel"]
     if raw_kernel == "sym2":
-        kernel = sym2_kernel()
-    elif raw_kernel in ("123", "one_two_three"):
-        kernel = one_two_three_kernel()
-    elif isinstance(raw_kernel, dict) and "table" in raw_kernel:
-        rows = raw_kernel["table"]
-        if not isinstance(rows, list):
-            raise InvalidKernel('"table" must be a list of rows')
-        try:
-            kernel = custom_table_kernel(rows)
-        except (TypeError, ValueError) as exc:
-            raise InvalidKernel(f'bad "table" entry: {exc}') from exc
-    else:
+        return gram_matrix(sym2_kernel(), support)
+    if raw_kernel in ("123", "one_two_three"):
+        return gram_matrix(one_two_three_kernel(), support)
+    if not (isinstance(raw_kernel, dict) and "table" in raw_kernel):
         raise InvalidKernel(f'unknown "kernel" value: {raw_kernel!r}')
-    return gram_matrix(kernel, support)
+    rows = raw_kernel["table"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InvalidKernel('"table" must be a list of rows')
+    try:
+        entries = tuple(tuple(as_rational(x) for x in row) for row in rows)
+    except (TypeError, ValueError) as exc:
+        raise InvalidKernel(f'bad "table" entry: {exc}') from exc
+    return GramMatrix(support, entries)

@@ -6,8 +6,9 @@ or accepted.  A law is stored as integers in lowest terms, values over one
 scale and weights over one denominator; queries and kernels read and build
 that form, and the Fraction atoms are a view built only when read.  So is
 the dense view, the one place that puts a law on its coarsest arithmetic
-progression; `to_lattice` wraps it as the lattice form, the representation
-for iterated convolution.  Its one convolution kernel, `_shift_add`, works on
+progression; `to_lattice` wraps it as a `LatticeDist`, which no library path
+builds (the walk reads the dense view itself): it stays public, and
+`perfbench/spans.py` traces it.  The packed kernel, `_shift_add`, works on
 numerator vectors packed into one Python int each, a site per slot as wide
 as the largest numerator the product can hold (in whole bytes), so no slot
 ever carries into the next: each nonzero site of the sparser operand adds

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -203,6 +204,68 @@ def test_dichotomy_cap(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "error: matrix size 100 exceeds the subset-enumeration cap 15\n"
     )
+
+
+# Table problems and the SHA-256 of `lcross dichotomy`'s stdout on each, recorded at
+# bd156c3, when tables still went through a kernel spec and `gram_matrix`.
+_TABLE_DIGESTS = [
+    (
+        {"support": ["-1", "0", "1/2"],
+         "kernel": {"table": [["2", "-1", "1/3"], ["-1", "3", "0"], ["1/3", "0", "1"]]}},
+        "208d3af77f62ca85f57b22fa8df365ff27ef41116d89de345bfa454aca00be26",
+    ),
+    (
+        {"support": [0, 1, 2], "kernel": {"table": [[1, -2, 0], [-2, 1, 0], [0, 0, 1]]}},
+        "e0c44ee254fcaca5108bf06fbfcf12e3bd827de3c9747491ba1761bc453d0cf9",
+    ),
+    (
+        {"support": [-2, "-1/2", 1, 3, 7],
+         "kernel": {"table": [[4, -1, "1/2", 0, -3], [-1, 2, 1, "-5/3", 0],
+                              ["1/2", 1, 1, 2, "7/4"], [0, "-5/3", 2, 5, -1],
+                              [-3, 0, "7/4", -1, 3]]}},
+        "a545428e30e9b651e83183ce43efeca722160dd0cbab0069d49cdd3ae72b5582",
+    ),
+    (
+        {"support": ["-1", "1"], "kernel": {"table": [[2, -1], [-1, 2]]}},
+        "9865a31ba34f5c19b03a371751073ac914982d6b8a633504f87bc79192c068d1",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, digest", _TABLE_DIGESTS)
+def test_dichotomy_table_outputs_are_pinned(tmp_path, capsys, doc, digest):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    assert run(["dichotomy", "--input", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"support": [0, 1, 0], "kernel": {"table": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+         "support values must be distinct"),
+        ({"support": [0, 1, 2], "kernel": {"table": [[1, 2], [2, 1]]}},
+         "matrix shape does not match the support"),
+        ({"support": [0, 1], "kernel": {"table": [[1, 2], [3, 1]]}},
+         "kernel table not symmetric at (1,0)"),
+        ({"support": [0, 1], "kernel": {"table": [[1, 2], [3]]}},
+         "matrix shape does not match the support"),
+        ({"support": [0, 1], "kernel": {"table": [1, 2]}}, '"table" must be a list of rows'),
+        # A string row is not a row of characters.
+        ({"support": [0, 1], "kernel": {"table": ["12", "21"]}}, '"table" must be a list of rows'),
+        ({"support": [0, 1], "kernel": {"table": [[1, "x"], ["x", 1]]}}, 'bad "table" entry'),
+        ({"support": [0, 1], "kernel": {"table": [[1, 0.5], [0.5, 1]]}}, 'bad "table" entry'),
+    ],
+)
+def test_dichotomy_table_errors_exit_2_with_one_line(tmp_path, capsys, doc, message):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    assert run(["dichotomy", "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
 
 
 def test_lemma1(capsys):

@@ -10,7 +10,6 @@ from lcross import (
     GramMatrix,
     InvalidKernel,
     ResourceLimit,
-    custom_table_kernel,
     dichotomy_check,
     first_alternative,
     gram_from_table,
@@ -47,12 +46,15 @@ def test_gram_matrix_worked_examples():
 def test_gram_matrix_validation():
     with pytest.raises(ValueError):
         gram_matrix(sym2_kernel(), [1, 1])
+    # GramMatrix is the one validator: repeated points fail there too, not only in gram_matrix.
+    with pytest.raises(ValueError, match="distinct"):
+        GramMatrix((F(0), F(0)), ((F(1), F(0)), (F(0), F(1))))
     with pytest.raises(InvalidKernel):
-        gram_matrix(custom_table_kernel([[1]]), [0, 1])
+        GramMatrix((F(0), F(1)), ((F(1),),))
     with pytest.raises(InvalidKernel):
-        custom_table_kernel([[1, 2], [3, 4]])
+        gram_from_table([[1, 2], [3, 4]])
     with pytest.raises(InvalidKernel):
-        custom_table_kernel([[1, 2]])
+        gram_from_table([[1, 2]])
     with pytest.raises(InvalidKernel):
         GramMatrix((F(0),), ((F(1), F(2)),))
 
@@ -63,9 +65,11 @@ def test_kernel_spec_validation():
     with pytest.raises(InvalidKernel):
         lcross.KernelSpec("gaussian")
     with pytest.raises(InvalidKernel):
-        lcross.KernelSpec("sym2", ((F(1),),))
-    with pytest.raises(InvalidKernel):
         lcross.KernelSpec("custom_table")
+    # A table is a GramMatrix, not a kernel: KernelSpec takes a family only.
+    with pytest.raises(TypeError):
+        lcross.KernelSpec("sym2", ((F(1),),))
+    assert not hasattr(lcross, "custom_table_kernel")
 
 
 def test_first_alternative_worked_examples():

@@ -310,12 +310,37 @@ def test_scan_slots_fit_the_marginal_not_the_horizon(monkeypatch):
     for step, horizon in ((SKEWED, 100), (MIXED, 70), (rademacher(), 300)):
         widths.clear()
         crossing_table(WalkSpec(step=step, horizon=horizon))
-        # One product per n, on slots for at least D^n and at most D^(2n).
+        # One product per n < H, on slots for at least D^n and at most D^(2n); the
+        # last row reads S_H's two masses off S_{H-1}, so S_H is never built.
         den = step.den
-        assert len(widths) == horizon
+        assert len(widths) == horizon - 1
         for n, wb in enumerate(widths, 1):
             assert walk._slot_bytes(den**n) <= wb <= walk._slot_bytes(den ** (2 * n))
         assert widths == sorted(widths)
+
+
+def test_every_row_reads_the_masses_of_its_own_marginal(monkeypatch):
+    # Rows n < H read P(S_n = l) and P(S_n = 0) off S_n's slots; the last row sums
+    # S_{H-1} against the step, so crossing_table never builds S_H itself.
+    rng = random.Random(25)
+    real, products, off_zero = walk._shift_add, [], 0
+    monkeypatch.setattr(walk, "_shift_add", lambda *args: products.append(1) or real(*args))
+    for _ in range(80):
+        step = _random_dist(rng, 4, span=4, max_den=3)
+        horizon = rng.randint(1, 6)
+        marginals = [dict(m.atoms) for m in walk_marginals(WalkSpec(step=step, horizon=horizon))]
+        if rng.random() < 0.5:  # a point of S_H, often off the step's lattice and off 0
+            level = rng.choice(sorted(marginals[-1]))
+        else:
+            level = F(rng.randint(-8, 8), rng.randint(1, 3))
+        products.clear()
+        rows = crossing_table(WalkSpec(step=step, level=level, horizon=horizon)).rows
+        assert len(products) == horizon - 1
+        for row, law in zip(rows, marginals):
+            assert row.atom_at_level == law.get(level, 0)
+            assert row.zero_mass == law.get(F(0), 0)
+        off_zero += level != 0 and rows[-1].atom_at_level != 0
+    assert off_zero >= 10
 
 
 def test_scan_work_shrinks_toward_the_last_row(monkeypatch):
