@@ -213,15 +213,16 @@ def _scan(spec: WalkSpec, last: int) -> Iterator[Tuple[int, ...]]:
         dom = [tail(y) + c if y else s.den for y, c in zip(ys, cross)] if l == 0 else []
         return cross, dom
 
-    def last_mass(z: int) -> int:
-        """S_last's mass at z, sum_j nums[j] * S_{last-1}(z - x0 - j*g), off S_{last-1}'s slots."""
-        t, r = divmod(z - x0 - y, g)  # the slot of S_{last-1} that step site 0 moves to z
+    def mass(z: int) -> int:
+        """S_n's mass at z, sum_j nums[j] * S_{n-1}(z - x0 - j*g), off S_{n-1}'s slots in Q."""
+        t, r = divmod(z - x0 - y, g)  # the slot of S_{n-1} that step site 0 moves to z
         j_lo, j_hi = max(t - len(vals) + 1, 0), min(t, len(nums) - 1)
         if r or j_lo > j_hi:
             return 0
         return sum(map(mul, nums[j_lo : j_hi + 1], reversed(vals[t - j_hi : t - j_lo + 1])))
 
-    # S_last is never built: the last row reads its two masses off S_{last-1}.
+    # S_last is never built: each row reads S_n's two masses off S_{n-1}, whose slots in Q
+    # cover [l - v_max, l - x0] and [-v_max, -x0].
     powers = _powers(x0, g, nums, s.den, last - 1, q_lo, q_hi)
     cache, vals, y, den = {}, [1], 0, 1  # S_0's slots in Q, the first at position y
     for n in range(1, last + 1):
@@ -229,19 +230,13 @@ def _scan(spec: WalkSpec, last: int) -> Iterator[Tuple[int, ...]]:
         w_cross, w_dom = cache.get(r) or cache.setdefault(r, weights(w_lo + r))
         cross = sum(map(mul, vals, w_cross[t : t + len(vals)]))
         dom = sum(map(mul, vals, w_dom[t : t + len(vals)])) if l == 0 else 0
-        if n == last:
-            at_level = last_mass(l)
-            yield n, den * s.den, cross, dom, at_level, at_level if l == 0 else last_mass(0)
-            return
-        _, den, cur, lo, hi, wb = next(powers)
-        a = max(-((n * x0 - q_lo) // g), lo)  # S_n's sites a..b lie in Q
-        b = min((q_hi - n * x0) // g, hi)
-        vals, y = list(_unpack(cur, wb, a - lo, b - lo + 1)), n * x0 + a * g
-        i, r = divmod(l - y, g)  # S_n's masses at the level and at 0: slots i and j of vals
-        at_level = vals[i] if r == 0 and 0 <= i < len(vals) else 0
-        j, r = divmod(-y, g)
-        at_zero = at_level if l == 0 else vals[j] if r == 0 and 0 <= j < len(vals) else 0
-        yield n, den, cross, dom, at_level, at_zero
+        at_level = mass(l)
+        yield n, den * s.den, cross, dom, at_level, at_level if l == 0 else mass(0)
+        if n < last:
+            _, den, cur, lo, hi, wb = next(powers)
+            a = max(-((n * x0 - q_lo) // g), lo)  # S_n's sites a..b lie in Q
+            b = min((q_hi - n * x0) // g, hi)
+            vals, y = list(_unpack(cur, wb, a - lo, b - lo + 1)), n * x0 + a * g
 
 
 def walk_marginals(spec: WalkSpec) -> List[DiscreteDist]:

@@ -310,8 +310,8 @@ def test_scan_slots_fit_the_marginal_not_the_horizon(monkeypatch):
     for step, horizon in ((SKEWED, 100), (MIXED, 70), (rademacher(), 300)):
         widths.clear()
         crossing_table(WalkSpec(step=step, horizon=horizon))
-        # One product per n < H, on slots for at least D^n and at most D^(2n); the
-        # last row reads S_H's two masses off S_{H-1}, so S_H is never built.
+        # One product per n < H, on slots for at least D^n and at most D^(2n); each
+        # row reads S_n's two masses off S_{n-1}, so S_H is never built.
         den = step.den
         assert len(widths) == horizon - 1
         for n, wb in enumerate(widths, 1):
@@ -320,8 +320,8 @@ def test_scan_slots_fit_the_marginal_not_the_horizon(monkeypatch):
 
 
 def test_every_row_reads_the_masses_of_its_own_marginal(monkeypatch):
-    # Rows n < H read P(S_n = l) and P(S_n = 0) off S_n's slots; the last row sums
-    # S_{H-1} against the step, so crossing_table never builds S_H itself.
+    # Each row reads P(S_n = l) and P(S_n = 0) by summing S_{n-1} against the step,
+    # so crossing_table never builds S_H itself.
     rng = random.Random(25)
     real, products, off_zero = walk._shift_add, [], 0
     monkeypatch.setattr(walk, "_shift_add", lambda *args: products.append(1) or real(*args))
