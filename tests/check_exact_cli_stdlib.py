@@ -29,6 +29,11 @@ from lcross.cli import run  # noqa: E402
 
 PROBLEM = {"support": ["-3", "-1", "0", "1/2", "2", "5"], "kernel": "123"}
 LAW = {"atoms": [{"v": "-1", "w": "1/2"}, {"v": "2", "w": "1/3"}, {"v": "7/2", "w": "1/6"}]}
+# Decided on the first alternative with witness (0, 0, 1), so the verdict's other fields are null.
+WITNESS = {
+    "support": ["-1", "0", "1/2"],
+    "kernel": {"table": [["1", "-1/2", "0"], ["-1/2", "2", "3"], ["0", "3", "-1"]]},
+}
 
 # (argv, SHA-256 of stdout); "{dir}" is a temporary directory holding the inputs.
 CASES = [
@@ -52,6 +57,22 @@ CASES = [
         "lemma1 --dist {dir}/law.json --window 3/2",
         "e2db3a94fe0ee07dd154681b7f04516e98dd4d5838192fba0b74f52be254be6c",
     ),
+    (
+        "crossing --dist lazy --level 1/3 --horizon 64 --json",
+        "4aa9bf38ea04246b77ee713b4f1f1ec35c4f6cf3bac7f2060648dcade15214ca",
+    ),
+    (
+        "ratio --dist lazy --table",
+        "28c2ab39c4068368964988fb8b7d7ba69b633afbdb996e83102c89662036d1c6",
+    ),
+    (
+        "ratio --family-n 40 --table",
+        "246580aa1cfa22dde34e5ff2f85baf16ffb6c3099f34268ef2676dcf4d7aeaa9",
+    ),
+    (
+        "dichotomy --input {dir}/witness.json",
+        "7cd411be02082ab978d4b259ed2e688937d03e48d619ea501aec6b45fb0a0f43",
+    ),
 ]
 
 
@@ -59,6 +80,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "problem.json").write_text(json.dumps(PROBLEM))
         Path(tmp, "law.json").write_text(json.dumps(LAW))
+        Path(tmp, "witness.json").write_text(json.dumps(WITNESS))
         for command, want in CASES:
             out = io.StringIO()
             with redirect_stdout(out):
