@@ -11,7 +11,7 @@ an independent reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -19,7 +19,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .dist import DiscreteDist, interval_prob
 from .errors import InvalidKernel, ResourceLimit, TheoremViolation
-from .rationals import RationalLike, as_rational, format_rational
+from .rationals import RationalLike, as_rational, format_exact
 
 DEFAULT_CAP = 15
 
@@ -78,10 +78,7 @@ class GramMatrix:
         return len(self.support)
 
     def to_json_dict(self) -> dict:
-        return {
-            "support": [format_rational(x) for x in self.support],
-            "entries": [[format_rational(a) for a in row] for row in self.entries],
-        }
+        return {f.name: format_exact(getattr(self, f.name)) for f in fields(self)}
 
 
 def gram_from_table(rows: Sequence[Sequence[RationalLike]]) -> GramMatrix:
@@ -305,18 +302,7 @@ class DichotomyVerdict:
     minimizer: Optional[Tuple[Fraction, ...]]
 
     def to_json_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "witness": None
-            if self.witness is None
-            else [format_rational(x) for x in self.witness],
-            "min_value": None
-            if self.min_value is None
-            else format_rational(self.min_value),
-            "minimizer": None
-            if self.minimizer is None
-            else [format_rational(x) for x in self.minimizer],
-        }
+        return {f.name: format_exact(getattr(self, f.name)) for f in fields(self)}
 
 
 def dichotomy_check(matrix: GramMatrix, cap: int = DEFAULT_CAP) -> DichotomyVerdict:

@@ -13,6 +13,8 @@ numerator vectors packed into one Python int each, a site per slot as wide
 as the largest numerator the product can hold (in whole bytes), so no slot
 ever carries into the next: each nonzero site of the sparser operand adds
 one shifted, scaled copy of the other, three big-integer operations in C.
+Packing goes through bytes, never `str`.  Only this module knows a law's
+integer units: the walk scan and MC step tables put a level on them by `joint`.
 """
 
 from __future__ import annotations

@@ -62,6 +62,16 @@ def format_rational(q: Fraction) -> str:
     return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
+def format_exact(value: object) -> object:
+    """A JSON-ready copy of an exact field: Fractions as `format_rational` strings,
+    tuples as lists, recursively; anything else (ints, floats, bools, None) as is."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, tuple):
+        return [format_exact(x) for x in value]
+    return value
+
+
 def over_power(x: int, den: int, base: int) -> Fraction:
     """x / den in lowest terms, for x >= 0 and den a power of base >= 1.
 

@@ -12,14 +12,15 @@ import csv
 import io
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import exp, ulp
+from operator import attrgetter
 from typing import List, Tuple
 
 from .dist import DiscreteDist, make_dist, support_cap
 from .errors import InvalidThreshold, ResourceLimit, TheoremViolation
-from .rationals import RationalLike, as_rational, format_rational
+from .rationals import RationalLike, as_rational, format_exact, format_rational
 
 _MODES = ("sum", "diff")
 
@@ -64,18 +65,12 @@ class RatioReport:
         return self.rows[i - 1].ratio
 
     def to_csv(self) -> str:
+        """One row per breakpoint, its columns `RatioRow`'s fields in their order."""
+        names = [f.name for f in fields(RatioRow)]
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["c", "num", "den", "ratio"])
-        for row in self.rows:
-            writer.writerow(
-                [
-                    format_rational(row.c),
-                    format_rational(row.num),
-                    format_rational(row.den),
-                    format_rational(row.ratio),
-                ]
-            )
+        writer.writerow(names)
+        writer.writerows(map(format_exact, map(attrgetter(*names), self.rows)))
         return buf.getvalue()
 
     def summary_json_dict(self) -> dict:

@@ -9,6 +9,9 @@ marginal on the step law's dense view as one packed int (see `lcross.dist`):
 `walk_marginals` reads it whole; the scan keeps only the sites from which a
 later window can be reached, and answers each step's crossing and domination
 probabilities as two dot products with weights fixed by the law and level.
+Each scan row costs shifted adds on about min(n, H - n) * |step| slots, and
+lists the step's (site, mass) pairs only to add copies of S_{n-1} over them:
+never at H = 1, and at H = 2 only for a point-mass step.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ from .dist import DiscreteDist, lattice_convolve, support_cap, to_lattice  # noq
 from .dist import _from_ints, _pack, _shift_add, _slot_bytes, _unpack, _widen
 from .errors import NotApplicable, ResourceLimit
 from .rationals import RationalLike, as_rational, format_rational, over_power
+
+
+# The CSV's spelling of a bound flag; None is a bound whose hypothesis is not met.
+_FLAGS = {True: "true", False: "false", None: "na"}
 
 
 @dataclass(frozen=True)
@@ -74,31 +81,14 @@ class CrossingReport:
         return True
 
     def to_csv(self) -> str:
+        """The JSON rows without atom_at_level, each `*_ok` flag spelled true, false or na."""
+        rows = self.to_json_dict()["rows"]
+        keys = [k for k in rows[0] if k != "atom_at_level"]
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(
-            [
-                "n",
-                "p_n",
-                "sqrt_n_p_n",
-                "P_Sn_eq_0",
-                "lower_bound_ok",
-                "chain_bound_ok",
-                "domination_ok",
-            ]
-        )
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row.n,
-                    format_rational(row.p),
-                    repr(row.scaled),
-                    format_rational(row.zero_mass),
-                    _flag_str(row.lower_bound_ok),
-                    _flag_str(row.chain_bound_ok),
-                    _flag_str(row.domination_ok),
-                ]
-            )
+        writer.writerow(keys)
+        for row in rows:
+            writer.writerow([_FLAGS[row[k]] if k.endswith("_ok") else row[k] for k in keys])
         return buf.getvalue()
 
     def to_json_dict(self) -> dict:
@@ -120,12 +110,6 @@ class CrossingReport:
                 for row in self.rows
             ],
         }
-
-
-def _flag_str(flag: Optional[bool]) -> str:
-    if flag is None:
-        return "na"
-    return "true" if flag else "false"
 
 
 def _check_horizon(spec: WalkSpec) -> None:

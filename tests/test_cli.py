@@ -1,9 +1,12 @@
+import dataclasses
 import hashlib
 import io
 import json
 import os
+import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -14,6 +17,10 @@ import lcross.acceptance as acceptance
 import lcross.walk as walk
 from lcross.acceptance import CriterionResult
 from lcross.cli import run
+from lcross.dist import rademacher
+from lcross.errors import TheoremViolation
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def csv_rows(text):
@@ -111,6 +118,55 @@ def test_crossing_rejects_bad_inputs(tmp_path, capsys):
     assert run(["crossing", "--dist", "rademacher", "--horizon", "100000000"]) == 2
     err = capsys.readouterr().err
     assert "n=1000000 exceeds the cap" in err and len(err.strip().splitlines()) == 1
+
+
+def test_crossing_exits_1_and_prints_the_csv_when_a_bound_fails(monkeypatch, capsys):
+    report = walk.crossing_table(walk.WalkSpec(step=rademacher(), horizon=3))
+    assert report.all_bounds_hold()
+    last = dataclasses.replace(report.rows[-1], chain_bound_ok=False)
+    report = dataclasses.replace(report, rows=report.rows[:-1] + (last,))
+    assert not report.all_bounds_hold()
+    monkeypatch.setattr("lcross.cli.crossing_table", lambda spec: report)
+    assert run(["crossing", "--dist", "rademacher", "--horizon", "3"]) == 1
+    out = capsys.readouterr().out
+    assert out == report.to_csv()
+    assert csv_rows(out)[1][-1][4:] == ["true", "false", "true"]
+
+
+def test_theorem_violation_exits_1_with_one_line(monkeypatch, capsys):
+    def violated(d):
+        raise TheoremViolation("ratio 2 >= 2 at c = 1")
+
+    monkeypatch.setattr("lcross.cli.ratio_scan", violated)
+    assert run(["ratio", "--dist", "lazy"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification failure: ratio 2 >= 2 at c = 1\n"
+
+
+def _readme_command_block():
+    """The lines of the sh block under the README's "## Command line" heading."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    return section.split("```sh\n", 1)[1].split("\n```", 1)[0].splitlines()
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    # Every lcross line but `repro`, which test_repro_* and test_acceptance cover, exits 0;
+    # an `echo '...' > file` line writes its file first.
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for line in _readme_command_block():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["echo"]:
+            assert words[2] == ">" and len(words) == 4, line
+            (tmp_path / words[3]).write_text(words[1] + "\n")
+        elif words[:1] == ["lcross"] and words[1] != "repro":
+            assert run(words[1:]) == 0, line
+            ran.append(words[1])
+        else:
+            assert words in ([], ["lcross", "repro"]), line
+    capsys.readouterr()
+    assert sorted(set(ran)) == ["crossing", "dichotomy", "lemma1", "mc", "ratio"]
 
 
 def test_uniform_horizon_refused_before_the_scan(monkeypatch, capsys):

@@ -57,6 +57,8 @@ def test_gram_matrix_validation():
         gram_from_table([[1, 2]])
     with pytest.raises(InvalidKernel):
         GramMatrix((F(0),), ((F(1), F(2)),))
+    with pytest.raises(InvalidKernel, match="support must be nonempty"):
+        gram_from_table([])
 
 
 def test_kernel_spec_validation():

@@ -62,6 +62,15 @@ def test_direct_construction_validates_invariants():
         DiscreteDist(((F(0), F(1, 2)), (F(0), F(1, 2))))
     with pytest.raises(InvalidDistribution):
         DiscreteDist(((F(0), F(1, 2)),))
+    with pytest.raises(InvalidDistribution, match="at least one atom"):
+        DiscreteDist(())
+    with pytest.raises(InvalidDistribution, match="must be Fractions"):
+        DiscreteDist(((0, F(1)),))
+    with pytest.raises(InvalidDistribution, match="must be Fractions"):
+        DiscreteDist(((F(0), 1),))
+    for w in (F(0), F(-1)):
+        with pytest.raises(InvalidDistribution, match="weight at value 0 is not positive"):
+            DiscreteDist(((F(0), w), (F(1), 1 - w)))
 
 
 def _assert_canonical(d):
@@ -421,6 +430,9 @@ def test_uniform_range():
     assert all(w == F(1, 3) for w in d.weights)
     with pytest.raises(InvalidDistribution):
         uniform_range(2, 1)
+    for lo, hi in ((F(0), 3), (0, 3.0), ("0", 3)):
+        with pytest.raises(InvalidDistribution, match="endpoints must be integers"):
+            uniform_range(lo, hi)
     for lo, hi in ((0, 0), (-4, 3), (5, 11)):
         assert uniform_range(lo, hi) == make_dist([(v, 1) for v in range(lo, hi + 1)])
 
@@ -446,6 +458,13 @@ def test_json_errors_name_the_offending_field():
         from_json('{"atoms": [{"v": "x/y", "w": "1"}]}')
     with pytest.raises(InvalidDistribution):
         from_json("not json")
+    with pytest.raises(InvalidDistribution, match="document must be a JSON object"):
+        from_json('[{"v": "0", "w": "1"}]')
+    with pytest.raises(InvalidDistribution, match="atom 1: expected an object"):
+        from_json('{"atoms": [{"v": "0", "w": "1"}, "1"]}')
+    for w in ('"x/y"', '"1/0"', "true", "0.5"):
+        with pytest.raises(InvalidDistribution, match='atom 0: bad weight "w"'):
+            from_json(f'{{"atoms": [{{"v": "0", "w": {w}}}]}}')
 
 
 finite_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=6)

@@ -187,6 +187,26 @@ def test_gaussian_sign_change_bound():
     assert est.mean <= bound + 3 * est.half_width_95
 
 
+def _gaussian_crossing_prob(n):
+    """Exact p_n at level 0 for standard normal steps: S_{n-1} ~ N(0, n - 1), and the pair
+    (S_{n-1}, X_n) changes sign on two wedges of angle arctan(1/sqrt(n - 1)) each."""
+    return 1.0 if n == 1 else math.atan(1 / math.sqrt(n - 1)) / math.pi
+
+
+# Seeds, samples and the tolerance of two 95% half-widths were fixed before the first run.
+@pytest.mark.parametrize("n, seed", [(2, 21), (5, 22), (17, 23)])
+def test_gaussian_crossing_matches_the_arctan_law(n, seed):
+    est = mc_crossing(gaussian(), n, 0, 100_000, seed)
+    assert abs(est.mean - _gaussian_crossing_prob(n)) <= 2 * est.half_width_95
+
+
+def test_gaussian_sign_changes_match_the_sum_of_crossing_probs():
+    # The first nonzero sign counts as a change, so E[changes to N] = p_1 + ... + p_N.
+    est = mc_sign_changes(gaussian(), 16, 100_000, 24)
+    exact = sum(_gaussian_crossing_prob(n) for n in range(1, 17))
+    assert abs(est.mean - exact) <= 2 * est.half_width_95
+
+
 def test_mc_top_two_tie_examples():
     idx_law = make_dist([(1, 1), (2, 1)])
     est = mc_top_two_tie(from_dist(idx_law), 2, 100_000, 0)

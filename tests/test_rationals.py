@@ -3,10 +3,11 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lcross.rationals import format_rational, over_power
+from lcross.rationals import as_rational, format_exact, format_rational, over_power
 
 # Each base with its primes: the factors a numerator can share with a power of it.
 BASES = {
@@ -64,6 +65,19 @@ def test_format_rational_has_no_digit_limit():
     assert format_rational(F(1, 10**8000)) == "1/1" + "0" * 8000
     want = "-" + "9" * 4000 + "/5" + "0" * 7999
     assert format_rational(F(2 - 2 * 10**4000, 10**8000)) == want
+
+
+def test_as_rational_refuses_bools():
+    for x in (True, False):
+        with pytest.raises(TypeError, match="bool is not a rational value"):
+            as_rational(x)
+
+
+def test_format_exact_formats_fractions_and_tuples_only():
+    assert format_exact(F(-3, 8)) == "-3/8"
+    assert format_exact((F(1), (F(1, 2), F(0)), ())) == ["1", ["1/2", "0"], []]
+    for x in (None, True, 3, 0.5, "1/2", [F(1)]):
+        assert format_exact(x) is x
 
 
 def test_stdlib_check_script_passes(capsys):

@@ -148,6 +148,8 @@ def test_dominated_crossing_bound():
         dominated_crossing_bound(WalkSpec(step=rademacher(), level=F(1), horizon=4), 2)
     with pytest.raises(ValueError):
         dominated_crossing_bound(spec, 1)
+    with pytest.raises(ValueError, match="n must be at most the horizon 4, got 5"):
+        dominated_crossing_bound(spec, 5)
 
 
 def test_domination_bound_brute_force():
@@ -511,6 +513,10 @@ def test_resource_cap(monkeypatch):
     monkeypatch.setenv("LCROSS_MAX_SUPPORT", "banana")
     with pytest.raises(ValueError):
         crossing_table(WalkSpec(step=rademacher(), horizon=4))
+    for raw in ("0", "-3"):
+        monkeypatch.setenv("LCROSS_MAX_SUPPORT", raw)
+        with pytest.raises(ValueError, match=f"LCROSS_MAX_SUPPORT must be positive, got {raw}"):
+            crossing_table(WalkSpec(step=rademacher(), horizon=4))
 
 
 def test_report_csv_and_json():
