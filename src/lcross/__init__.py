@@ -1,6 +1,7 @@
 """Exact and Monte-Carlo tools for random-walk level-crossing probabilities."""
 
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .dist import (
     DiscreteDist,
@@ -101,62 +102,8 @@ def __dir__():
 
 __version__ = "0.1.0"
 
+# Every public name this module binds, except the submodules, and the MC names.
 __all__ = [
-    "DiscreteDist",
-    "LatticeDist",
-    "WalkSpec",
-    "CrossingReport",
-    "CrossingRow",
-    "RatioReport",
-    "RatioRow",
-    "KernelSpec",
-    "GramMatrix",
-    "DichotomyVerdict",
-    "LcrossError",
-    "InvalidDistribution",
-    "InvalidInterval",
-    "InvalidThreshold",
-    "InvalidKernel",
-    "NotApplicable",
-    "ResourceLimit",
-    "TheoremViolation",
-    "make_dist",
-    "convolve",
-    "negate",
-    "symmetrize",
-    "abs_dist",
-    "interval_prob",
-    "to_lattice",
-    "lattice_convolve",
-    "to_json",
-    "from_json",
-    "dist_to_json_dict",
-    "dist_from_json_dict",
-    "point_mass",
-    "rademacher",
-    "lazy",
-    "uniform_range",
-    "as_rational",
-    "format_rational",
-    "walk_marginals",
-    "crossing_prob",
-    "crossing_table",
-    "dominated_crossing_bound",
-    "concentration",
-    "expected_sign_changes",
-    "pair_abs_prob",
-    "ratio_scan",
-    "optimality_family",
-    "random_threshold_check",
-    "adversarial_search",
-    "gram_matrix",
-    "gram_from_table",
-    "sym2_kernel",
-    "one_two_three_kernel",
-    "first_alternative",
-    "simplex_qp_min",
-    "dichotomy_check",
-    "lemma1_witness",
-    "problem_from_json_dict",
-    *_MC_NAMES,
-]
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + list(_MC_NAMES)

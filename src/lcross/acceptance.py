@@ -3,9 +3,9 @@
 Each check is deterministic: randomized inputs come from fixed-seed
 generators, Monte-Carlo runs use fixed stream seeds, and every verdict is
 either an exact rational comparison or an explicitly statistical trend
-check.  Oracles here are written independently of the modules they check
-(path enumeration for crossings, recursive face shrinking for the simplex
-minimum).
+check.  The exact references come from `lcross.oracles`, written apart from
+the modules they check: path enumeration for crossings (check 1), recursive
+face shrinking for the simplex minimum (check 7).
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm, sqrt
-from typing import Callable, Dict, List, Optional, Tuple
+from math import comb, gcd, sqrt
+from typing import Callable, List, Tuple
 
-from . import dichotomy, mc, symmetrization, walk
+from . import dichotomy, mc, oracles, symmetrization, walk
 from .dist import DiscreteDist, make_dist, rademacher
 from .rationals import format_rational
 
@@ -63,39 +63,14 @@ def _random_symmetric_dist(rng: random.Random) -> DiscreteDist:
     return make_dist(atoms)
 
 
-def _random_symmetric_matrix(rng: random.Random, n: int) -> List[List[Fraction]]:
+def _random_symmetric_matrix(
+    rng: random.Random, n: int, span: int = 12, max_den: int = 4
+) -> List[List[Fraction]]:
     entries = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            entries[i][j] = entries[j][i] = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+            entries[i][j] = entries[j][i] = Fraction(rng.randint(-span, span), rng.randint(1, max_den))
     return entries
-
-
-def _enum_crossing_probs(step: DiscreteDist, level: Fraction, horizon: int) -> List[Fraction]:
-    """Brute-force crossing probabilities by full path enumeration.
-
-    Values and the level are scaled by one lcm, so positions are ints.
-    """
-    den = lcm(*(w.denominator for w in step.weights))
-    scale = lcm(level.denominator, *(v.denominator for v in step.values))
-    atoms = [(int(v * scale), int(w * den)) for v, w in step.atoms]
-    target = int(level * scale)
-    acc = [0] * (horizon + 1)
-
-    def rec(depth: int, pos: int, weight: int, prev_sign: int) -> None:
-        if depth == horizon:
-            return
-        for v, wn in atoms:
-            pos2 = pos + v
-            sgn = (pos2 > target) - (pos2 < target)
-            w2 = weight * wn
-            if sgn != prev_sign:
-                acc[depth + 1] += w2
-            rec(depth + 1, pos2, w2, sgn)
-
-    start_sign = (0 > target) - (0 < target)
-    rec(0, 0, 1, start_sign)
-    return [Fraction(acc[n], den**n) for n in range(1, horizon + 1)]
 
 
 def criterion_1() -> Tuple[bool, str]:
@@ -106,7 +81,7 @@ def criterion_1() -> Tuple[bool, str]:
         level = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         spec = walk.WalkSpec(step=step, level=level, horizon=8)
         report = walk.crossing_table(spec)
-        oracle = _enum_crossing_probs(step, level, 8)
+        oracle = oracles.crossing_by_paths(step, level, 8)
         for row, expected in zip(report.rows, oracle):
             if row.p != expected:
                 return False, (
@@ -200,59 +175,6 @@ def criterion_6() -> Tuple[bool, str]:
     )
 
 
-def _oracle_solve_unique(
-    rows: List[List[Fraction]], rhs: List[Fraction]
-) -> Optional[List[Fraction]]:
-    """Unique solution of a square system or None; independent of dichotomy."""
-    n = len(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
-
-
-def _oracle_simplex_min(
-    rows: Tuple[Tuple[Fraction, ...], ...],
-    cache: Dict[Tuple[Tuple[Fraction, ...], ...], Fraction],
-) -> Fraction:
-    """Recursive face shrinking: min over facets, then the interior point."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if rows in cache:
-        return cache[rows]
-    best = None
-    for drop in range(n):
-        keep = [i for i in range(n) if i != drop]
-        sub = tuple(tuple(rows[i][j] for j in keep) for i in keep)
-        v = _oracle_simplex_min(sub, cache)
-        if best is None or v < best:
-            best = v
-    system = [list(rows[i]) + [Fraction(-1)] for i in range(n)]
-    system.append([Fraction(1)] * n + [Fraction(0)])
-    sol = _oracle_solve_unique(system, [Fraction(0)] * n + [Fraction(1)])
-    if sol is not None:
-        q, lam = sol[:n], sol[n]
-        if all(qi > 0 for qi in q) and lam < best:
-            best = lam
-    assert best is not None
-    cache[rows] = best
-    return best
-
-
 def criterion_7() -> Tuple[bool, str]:
     rng = random.Random(404)
     for trial in range(500):
@@ -260,16 +182,14 @@ def criterion_7() -> Tuple[bool, str]:
         matrix = dichotomy.gram_from_table(_random_symmetric_matrix(rng, n))
         verdict = dichotomy.dichotomy_check(matrix)
         min_value, _ = dichotomy.simplex_qp_min(matrix)
-        oracle = _oracle_simplex_min(matrix.entries, {})
+        oracle = oracles.face_minimum(matrix.entries, {})
         if min_value != oracle:
             return False, f"trial {trial}: face minimum {min_value} != oracle {oracle}"
         lp_witness = dichotomy.first_alternative(matrix)
         if verdict.branch == "first_alternative":
             p = verdict.witness
             assert p is not None
-            value = sum(
-                matrix.entries[i][j] * p[i] * p[j] for i in range(n) for j in range(n)
-            )
+            value = oracles.form_value(matrix.entries, p)
             if value > 0:
                 return False, f"trial {trial}: witness has positive form value {value}"
             if min_value > 0:

@@ -30,11 +30,18 @@ from typing import Iterator, List, Optional, Tuple
 from .dist import DiscreteDist, lattice_convolve, support_cap, to_lattice  # noqa: F401
 from .dist import _from_ints, _pack, _shift_add, _slot_bytes, _unpack, _widen
 from .errors import NotApplicable, ResourceLimit
-from .rationals import RationalLike, as_rational, format_rational, over_power
+from .rationals import RationalLike, as_rational, format_exact, format_rational, over_power
 
 
 # The CSV's spelling of a bound flag; None is a bound whose hypothesis is not met.
 _FLAGS = {True: "true", False: "false", None: "na"}
+
+# Each JSON row's keys, in order, with the CrossingRow field each one reads.
+_ROW_KEYS = (
+    ("n", "n"), ("p_n", "p"), ("sqrt_n_p_n", "scaled"), ("atom_at_level", "atom_at_level"),
+    ("P_Sn_eq_0", "zero_mass"), ("lower_bound_ok", "lower_bound_ok"),
+    ("chain_bound_ok", "chain_bound_ok"), ("domination_ok", "domination_ok"),
+)
 
 
 @dataclass(frozen=True)
@@ -83,7 +90,7 @@ class CrossingReport:
     def to_csv(self) -> str:
         """The JSON rows without atom_at_level, each `*_ok` flag spelled true, false or na."""
         rows = self.to_json_dict()["rows"]
-        keys = [k for k in rows[0] if k != "atom_at_level"]
+        keys = [k for k, _ in _ROW_KEYS if k != "atom_at_level"]
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(keys)
@@ -97,16 +104,7 @@ class CrossingReport:
             "horizon": self.horizon,
             "symmetric": self.symmetric,
             "rows": [
-                {
-                    "n": row.n,
-                    "p_n": format_rational(row.p),
-                    "sqrt_n_p_n": row.scaled,
-                    "atom_at_level": format_rational(row.atom_at_level),
-                    "P_Sn_eq_0": format_rational(row.zero_mass),
-                    "lower_bound_ok": row.lower_bound_ok,
-                    "chain_bound_ok": row.chain_bound_ok,
-                    "domination_ok": row.domination_ok,
-                }
+                {key: format_exact(getattr(row, name)) for key, name in _ROW_KEYS}
                 for row in self.rows
             ],
         }

@@ -15,7 +15,6 @@ from lcross import (
     gram_from_table,
     gram_matrix,
     lemma1_witness,
-    make_dist,
     one_two_three_kernel,
     point_mass,
     problem_from_json_dict,
@@ -23,14 +22,9 @@ from lcross import (
     simplex_qp_min,
     sym2_kernel,
 )
-from lcross.acceptance import _oracle_simplex_min, _random_symmetric_matrix
+from lcross import oracles
+from lcross.acceptance import _random_symmetric_matrix
 from lcross.dichotomy import _solve_fraction_free
-
-
-def form_value(matrix, q):
-    n = len(matrix)
-    A = matrix.entries
-    return sum(A[i][j] * q[i] * q[j] for i in range(n) for j in range(n))
 
 
 def test_gram_matrix_worked_examples():
@@ -98,37 +92,6 @@ def test_dichotomy_worked_examples():
     assert verdict.witness == (F(1),) and verdict.min_value is None
 
 
-def gauss_jordan(rows, rhs):
-    """Exact Fraction Gauss-Jordan solve of rows * x = rhs, the reference for the
-    fraction-free solve: the pivot of each column is the first row at or below r
-    with a nonzero entry, and free variables are zero.  None when inconsistent."""
-    m, ncols = len(rows), len(rows[0])
-    aug = [[F(a) for a in row] + [F(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        sel = next((rr for rr in range(r, m) if aug[rr][col] != 0), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for rr in range(m):
-            if rr != r and aug[rr][col] != 0:
-                f = aug[rr][col]
-                aug[rr] = [a - f * b for a, b in zip(aug[rr], aug[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == m:
-            break
-    if any(aug[rr][ncols] != 0 for rr in range(r, m)):
-        return None
-    x = [F(0)] * ncols
-    for row, col in pivots:
-        x[col] = aug[row][ncols]
-    return x
-
-
 # Mostly zeros, small values for ties, and a few wide ones for big minors.
 ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3, 10**12 + 39, -(10**9) - 7])
 
@@ -155,8 +118,8 @@ INCONSISTENT = ([[0, 0, -1], [1, 1, -1], [1, 1, 0]], [0, 0, 1])  # lambda = 0 an
 
 
 def test_reference_examples_are_singular_and_inconsistent():
-    assert gauss_jordan(*SINGULAR) == [F(2), F(-1), F(0)]
-    assert gauss_jordan(*INCONSISTENT) is None
+    assert oracles.solve(*SINGULAR) == [F(2), F(-1), F(0)]
+    assert oracles.solve(*INCONSISTENT) is None
 
 
 @given(bordered_systems())
@@ -166,7 +129,7 @@ def test_reference_examples_are_singular_and_inconsistent():
 @settings(max_examples=200, deadline=None)
 def test_fraction_free_solve_matches_gauss_jordan(system):
     rows, rhs = system
-    want = gauss_jordan(rows, rhs)
+    want = oracles.solve(rows, rhs)
     got = _solve_fraction_free([row + [b] for row, b in zip(rows, rhs)])
     if want is None:
         assert got is None
@@ -185,25 +148,17 @@ def test_sym2_twelve_points_pinned():
     assert verdict.minimizer == tuple(mass.get(i, F(0)) for i in range(12))
 
 
-def small_integer_table(rng, n):
-    """Symmetric table with entries in {-2..2}/{1,2}: ties and singular faces."""
-    rows = [[F(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = F(rng.randint(-2, 2), rng.randint(1, 2))
-    return rows
-
-
 def test_random_matrices_exactly_one_branch():
     rng = random.Random(41)
     tables = [_random_symmetric_matrix(rng, rng.randint(1, 5)) for _ in range(120)]
     rng = random.Random(47)
-    tables += [small_integer_table(rng, rng.randint(1, 6)) for _ in range(300)]
+    # Entries in {-2..2}/{1,2}: ties and singular faces.
+    tables += [_random_symmetric_matrix(rng, rng.randint(1, 6), span=2, max_den=2) for _ in range(300)]
     for rows in tables:
         m = gram_from_table(rows)
         verdict = dichotomy_check(m)
         value, q = simplex_qp_min(m)
-        assert form_value(m, q) == value
+        assert oracles.form_value(m.entries, q) == value
         lp_witness = first_alternative(m)
         if verdict.branch == "first_alternative":
             p = verdict.witness
@@ -211,7 +166,7 @@ def test_random_matrices_exactly_one_branch():
             for i in range(len(m)):
                 if p[i] > 0:
                     assert sum(m.entries[i][j] * p[j] for j in range(len(m))) <= 0
-            assert form_value(m, p) <= 0
+            assert oracles.form_value(m.entries, p) <= 0
             assert value <= 0
             assert sum(map(bool, p)) == sum(map(bool, lp_witness))
         else:
@@ -227,7 +182,7 @@ def test_simplex_min_matches_recursive_oracle():
     for _ in range(60):
         m = gram_from_table(_random_symmetric_matrix(rng, rng.randint(1, 4)))
         value, _ = simplex_qp_min(m)
-        assert value == _oracle_simplex_min(m.entries, cache)
+        assert value == oracles.face_minimum(m.entries, cache)
 
 
 def test_simplex_min_below_random_simplex_samples():
@@ -242,7 +197,7 @@ def test_simplex_min_below_random_simplex_samples():
             if total == 0:
                 continue
             q = [x / total for x in raw]
-            assert value <= form_value(m, q)
+            assert value <= oracles.form_value(m.entries, q)
 
 
 def test_simplex_min_scales_linearly():
@@ -254,7 +209,7 @@ def test_simplex_min_scales_linearly():
             scaled = gram_from_table([[c * a for a in row] for row in m.entries])
             svalue, sq = simplex_qp_min(scaled)
             assert svalue == c * value
-            assert form_value(scaled, sq) == svalue
+            assert oracles.form_value(scaled.entries, sq) == svalue
 
 
 def test_sym2_kernel_is_always_positive_form():

@@ -5,9 +5,11 @@ imported hides what `import lcross` itself loads.  A `None` entry in
 `sys.modules` makes every later `import numpy` fail, as on a Python without it.
 """
 
+import ast
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -75,6 +77,7 @@ def test_import_lcross_loads_no_numpy():
     proc = _python(
         "import lcross\n"
         "assert 'numpy' not in sys.modules, 'import lcross loaded numpy'\n"
+        "assert not {'lcross.oracles', 'lcross.acceptance'} & set(sys.modules)\n"
         "assert 'lcross.mc' not in sys.modules\n"
         "import lcross.cli, lcross.dist, lcross.walk, lcross.symmetrization, lcross.dichotomy\n"
         "assert 'numpy' not in sys.modules, 'an exact module loaded numpy'\n"
@@ -119,7 +122,11 @@ def test_public_namespace_is_unchanged():
     assert MC_NAMES <= set(lcross.__all__)
     assert len(lcross.__all__) == len(set(lcross.__all__))
     for name in lcross.__all__:
-        assert getattr(lcross, name) is not None, name
+        value = getattr(lcross, name)
+        assert value is not None and not isinstance(value, types.ModuleType), name
+        assert not name.startswith("_"), name
+        if callable(value):  # a function or a class, defined in an lcross module
+            assert value.__module__.startswith("lcross."), name
     namespace = {}
     exec("from lcross import *", namespace)
     assert set(lcross.__all__) <= set(namespace)
@@ -130,3 +137,11 @@ def test_public_namespace_is_unchanged():
         lcross.no_such_name
     assert not hasattr(lcross, "_no_such_private_name")
 
+
+def test_oracles_import_only_the_standard_library():
+    # The references share nothing with the engines they check: no lcross module, no
+    # numpy, no mpmath.  A relative import keeps its dots, so it is never stdlib.
+    nodes = list(ast.walk(ast.parse((SRC / "lcross" / "oracles.py").read_text())))
+    names = [a.name for node in nodes if isinstance(node, ast.Import) for a in node.names]
+    names += ["." * n.level + (n.module or "") for n in nodes if isinstance(n, ast.ImportFrom)]
+    assert names and {name.split(".")[0] for name in names} <= sys.stdlib_module_names, names

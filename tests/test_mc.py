@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction as F
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -204,6 +205,31 @@ def test_gaussian_sign_changes_match_the_sum_of_crossing_probs():
     # The first nonzero sign counts as a change, so E[changes to N] = p_1 + ... + p_N.
     est = mc_sign_changes(gaussian(), 16, 100_000, 24)
     exact = sum(_gaussian_crossing_prob(n) for n in range(1, 17))
+    assert abs(est.mean - exact) <= 2 * est.half_width_95
+
+
+def _cauchy_crossing_prob(n):
+    """p_n at level 0 for standard Cauchy steps and n >= 2, by mpmath.quad at 40 digits:
+    S_{n-1} is Cauchy with scale c = n - 1, so p_n = 2 int_0^inf c / (pi (c^2 + s^2))
+    (1/2 - arctan(s)/pi) ds, the mass of S_{n-1} > 0 that X_n carries below 0."""
+    with mpmath.workdps(40):
+        c, pi = n - 1, mpmath.pi
+        tail = lambda s: 0.5 - mpmath.atan(s) / pi  # P(X_n < -s)
+        return 2 * mpmath.quad(lambda s: c / (pi * (c * c + s * s)) * tail(s), [0, mpmath.inf])
+
+
+# Seeds, samples and the tolerance of two 95% half-widths were fixed before the first run.
+@pytest.mark.parametrize("n, seed", [(3, 31), (5, 32), (17, 33)])
+def test_cauchy_crossing_matches_the_quadrature(n, seed):
+    est = mc_crossing(cauchy(), n, 0, 100_000, seed)
+    assert abs(est.mean - float(_cauchy_crossing_prob(n))) <= 2 * est.half_width_95
+
+
+def test_cauchy_sign_changes_match_the_sum_of_crossing_probs():
+    assert mpmath.almosteq(_cauchy_crossing_prob(2), 0.25, 1e-35)  # the pinned two-step value
+    est = mc_sign_changes(cauchy(), 16, 100_000, 34)
+    # p_1 = 1: the first nonzero sign counts as a change.
+    exact = 1 + float(sum(_cauchy_crossing_prob(n) for n in range(2, 17)))
     assert abs(est.mean - exact) <= 2 * est.half_width_95
 
 

@@ -26,7 +26,8 @@ from lcross import (
 )
 import lcross.dist as dist
 import lcross.walk as walk
-from lcross.acceptance import _enum_crossing_probs, _random_dist, _random_symmetric_dist
+from lcross.acceptance import _random_dist, _random_symmetric_dist
+from lcross.oracles import crossing_by_paths, forward
 
 
 def test_walk_marginals_worked_examples():
@@ -113,7 +114,7 @@ def test_crossing_matches_path_enumeration():
     ]
     for step, level in cases:
         report = crossing_table(WalkSpec(step=step, level=level, horizon=6))
-        oracle = _enum_crossing_probs(step, level, 6)
+        oracle = crossing_by_paths(step, level, 6)
         assert [row.p for row in report.rows] == oracle
 
 
@@ -158,41 +159,9 @@ def test_domination_bound_brute_force():
         step = _random_dist(rng, 4, span=3)
         spec = WalkSpec(step=step, level=F(0), horizon=5)
         rows = crossing_table(spec).rows
-        for n, prev in enumerate(walk_marginals(spec)[:-1], start=2):
-            expected = F(0)
-            for s, ws in prev.atoms:
-                for x, wx in step.atoms:
-                    if abs(s) <= abs(x):
-                        expected += ws * wx
-            assert dominated_crossing_bound(spec, n) == expected
-            assert rows[n - 1].domination_ok == (rows[n - 1].p <= expected)
-
-
-def _forward(step, level, horizon):
-    """Per n: p_n, P(|S_{n-1}| <= |X_n|), P(S_n = level), P(S_n = 0).
-
-    A full integer forward recursion: values and the level over the lcm of
-    their denominators, weights over the lcm of theirs, every site of every
-    marginal kept.
-    """
-    scale = math.lcm(level.denominator, *(v.denominator for v in step.values))
-    den = math.lcm(*(w.denominator for w in step.weights))
-    moves = [(int(v * scale), int(w * den)) for v, w in step.atoms]
-    lvl = int(level * scale)
-    sgn = lambda t: (t > 0) - (t < 0)
-    law = {0: 1}
-    rows = []
-    for n in range(1, horizon + 1):
-        cross = dom = 0
-        nxt: dict = {}
-        for x, p in law.items():
-            for v, w in moves:
-                cross += p * w * (sgn(x + v - lvl) != sgn(x - lvl))
-                dom += p * w * (abs(x) <= abs(v))
-                nxt[x + v] = nxt.get(x + v, 0) + p * w
-        law = nxt
-        rows.append(tuple(F(k, den**n) for k in (cross, dom, law.get(lvl, 0), law.get(0, 0))))
-    return rows
+        for n, oracle in enumerate(forward(step, F(0), 5)[1:], start=2):
+            assert dominated_crossing_bound(spec, n) == oracle.domination
+            assert rows[n - 1].domination_ok == (rows[n - 1].p <= oracle.domination)
 
 
 MIXED = make_dist([(-2, 1), (1, 2), (3, 1)])
@@ -218,17 +187,17 @@ def _assert_scan_matches_forward(step, horizon, extra_levels=()):
     }
     for level in sorted(levels):
         spec = WalkSpec(step=step, level=level, horizon=horizon)
-        oracle = _forward(step, level, horizon)
+        oracle = forward(step, level, horizon)
         rows = crossing_table(spec).rows
         assert [(r.p, r.atom_at_level, r.zero_mass) for r in rows] == [
-            (p, at_level, at_zero) for p, _, at_level, at_zero in oracle
+            (o.p, o.at_level, o.at_zero) for o in oracle
         ]
-        assert [crossing_prob(spec, n) for n in range(1, horizon + 1)] == [o[0] for o in oracle]
+        assert [crossing_prob(spec, n) for n in range(1, horizon + 1)] == [o.p for o in oracle]
         if level == 0:
             doms = [dominated_crossing_bound(spec, n) for n in range(2, horizon + 1)]
-            assert doms == [o[1] for o in oracle[1:]]
-            assert [r.domination_ok for r in rows[1:]] == [p <= d for p, d, _, _ in oracle[1:]]
-            assert expected_sign_changes(spec) == sum(o[0] for o in oracle)
+            assert doms == [o.domination for o in oracle[1:]]
+            assert [r.domination_ok for r in rows[1:]] == [o.p <= o.domination for o in oracle[1:]]
+            assert expected_sign_changes(spec) == sum(o.p for o in oracle)
 
 
 def test_pruned_scan_matches_full_forward_recursion():
@@ -269,22 +238,6 @@ def test_window_weights_match_forward_recursion_across_residues():
             _assert_scan_matches_forward(step, horizon, extra)
 
 
-def _forward_laws(step, horizon):
-    """S_1..S_horizon by the integer dict recursion of `_forward`, as laws."""
-    scale = math.lcm(*(v.denominator for v in step.values))
-    den = math.lcm(*(w.denominator for w in step.weights))
-    moves = [(int(v * scale), int(w * den)) for v, w in step.atoms]
-    law, laws = {0: 1}, []
-    for n in range(1, horizon + 1):
-        nxt: dict = {}
-        for x, p in law.items():
-            for v, w in moves:
-                nxt[x + v] = nxt.get(x + v, 0) + p * w
-        law = nxt
-        laws.append(DiscreteDist((F(x, scale), F(law[x], den**n)) for x in sorted(law)))
-    return laws
-
-
 def test_walk_marginals_read_the_packed_engine(monkeypatch):
     # walk_marginals unpacks each S_n once from the scan's packed engine and builds no
     # lattice; lattice_convolve and to_lattice stay bound in walk for perfbench's tracer.
@@ -296,7 +249,7 @@ def test_walk_marginals_read_the_packed_engine(monkeypatch):
     # The slots widen when n passes 1, 2, 4, 8, 16, 32: horizons on both sides of a doubling.
     for step in (SKEWED, MIXED, NEGATIVE, HALVES, point_mass(F(-2, 3))):
         for horizon in (15, 16, 17, 33):
-            expected = _forward_laws(step, horizon)
+            expected = [DiscreteDist(row.law.items()) for row in forward(step, F(0), horizon)]
             assert walk_marginals(WalkSpec(step=step, horizon=horizon)) == expected
 
 
@@ -530,6 +483,9 @@ def test_report_csv_and_json():
     assert doc["level"] == "0" and doc["horizon"] == 2 and doc["symmetric"]
     assert doc["rows"][1]["p_n"] == "1/2"
     assert doc["rows"][1]["domination_ok"] is True
+    # A report built by hand with no rows prints the same header and nothing else.
+    empty = walk.CrossingReport(F(0), 1, True, ())
+    assert empty.to_csv() == lines[0] + "\r\n" and empty.to_json_dict()["rows"] == []
 
 
 def test_report_formats_rationals_past_the_digit_limit():
