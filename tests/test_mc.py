@@ -36,10 +36,13 @@ from lcross import mc
 from lcross.acceptance import _random_dist
 from lcross.mc import (
     _BLOCK,
+    _FEW_ATOMS,
     _factorials,
+    _few_atom_blocks,
     _float_cumulative,
     _index_blocks,
     _index_cumulative,
+    _int_dtype,
     _row_blocks,
     _sign_rule,
     _signed_table,
@@ -486,6 +489,42 @@ def test_signs_equal_exact_partial_sums(case):
     assert np.array_equal(got, np.sign(exact - shift).T.astype(np.int64))
 
 
+# Reaches at the edge of each integer dtype, and the dtype that must hold them.
+_DTYPE_EDGES = [
+    (2**7 - 1, np.int8),
+    (2**7, np.int16),
+    (2**15 - 1, np.int16),
+    (2**15, np.int32),
+    (2**31 - 1, np.int32),
+    (2**31, np.int64),
+    (2**62 - 1, np.int64),
+]
+
+
+@pytest.mark.parametrize("reach,dtype", _DTYPE_EDGES)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_int_signs_hold_the_reach_at_dtype_edges(reach, dtype, sign):
+    assert _int_dtype(reach) == np.dtype(dtype)
+    a = reach // 4
+    # (table, n, shift) with max|v|*n + |shift| = reach, and a path whose
+    # S_k - shift is -sign * reach: a narrower dtype wraps it.
+    cases = [
+        ([-reach, 0, reach], 1, 0),
+        ([0], 3, sign * reach),
+        ([-a, 0, a], 2, sign * (reach - 2 * a)),
+    ]
+    for table, n, shift in cases:
+        assert max(max(table), -min(table)) * n + abs(shift) == reach
+        code = np.array(list(itertools.product(range(len(table)), repeat=n)))
+        exact = np.cumsum(np.array(table, dtype=object)[code], axis=1) - shift
+        assert np.abs(exact).max() == reach
+        for first in range(1, n + 1):
+            got = np.empty((n + 1 - first, len(code)), dtype=np.int8)
+            _sign_rule(table, n, shift, first)(code, got)
+            assert np.array_equal(got, np.sign(exact[:, first - 1 :]).T.astype(np.int64))
+    assert _int_dtype(2**62) is None
+
+
 def test_levels_beyond_int64_stay_exact():
     # S_2 - l must not wrap around in int64 when the level itself is huge:
     # a walk of two +-1 steps never crosses a level near +-2^63 or beyond.
@@ -618,6 +657,49 @@ def test_draw_indices_equal_searchsorted(cum, cols, seed):
     assert a.random() == b.random()
 
 
+_FEW_ATOM_LAWS = st.lists(
+    st.integers(1, 10**6) | st.just(10**22), min_size=1, max_size=_FEW_ATOMS
+).map(_weights_cumulative)
+
+
+@st.composite
+def _few_atom_tables(draw, atoms):
+    """A table of the given length in a random integer dtype, spanning its range."""
+    info = np.iinfo(draw(st.sampled_from([np.int8, np.int16, np.int32, np.int64])))
+    values = st.integers(int(info.min), int(info.max)) | st.sampled_from([info.min, info.max])
+    return np.array(draw(st.lists(values, min_size=atoms, max_size=atoms)), dtype=info.dtype)
+
+
+def _few_atom_steps(rng, cum, table, shape):
+    """The steps that _few_atom_blocks yields block by block, as one samples x n array."""
+    out = np.empty(shape, dtype=table.dtype)
+    for rows, block in _few_atom_blocks(rng, cum, table, *shape):
+        out[rows] = block.T
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), cum=_FEW_ATOM_LAWS, cols=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+def test_few_atom_steps_equal_searchsorted(data, cum, cols, seed):
+    # Weights of 10^22 next to small ones make equal float entries, and tables
+    # spanning int8..int64 make differences of adjacent entries wrap.
+    table = data.draw(_few_atom_tables(len(cum)))
+    edges = np.arange(2**16) / 2**16
+    u = np.concatenate([cum, np.nextafter(cum, 0), np.nextafter(cum, 2), edges])
+    u = u[(u >= 0) & (u < 1)]
+    u = np.random.default_rng(seed).permutation(u)
+    got = _few_atom_steps(_Feed(u), cum, table, (u.size, 1)).ravel()
+    assert got.dtype == table.dtype
+    assert np.array_equal(got, table[np.searchsorted(cum, u, side="right")])
+    # Seeded streams: same steps, and the stream is left where one
+    # rng.random(shape) call leaves it.
+    shape = (1 + seed % 1500, cols)
+    a, b = seeded_stream(seed, 0), seeded_stream(seed, 0)
+    got = _few_atom_steps(a, cum, table, shape)
+    assert np.array_equal(got, table[np.searchsorted(cum, b.random(shape), side="right")])
+    assert a.random() == b.random()
+
+
 # Exact results of seeded streams long enough to span several row blocks of
 # the sign engine and of the tie draws, recorded before the engine drew,
 # summed and signed one block at a time.  Each sample count covers at least
@@ -673,12 +755,15 @@ def test_pinned_block_boundaries(fn, sampler, n, level, samples, mean, half):
 
 def test_estimators_hold_one_block_of_paths():
     # One samples x n array of 8-byte steps would be 12.8 MB for the first,
-    # third and fourth calls and 10.24 MB for the second; a call keeps its int8
-    # signs, counts or flags, plus one block of temporaries.  factorial_heavy
-    # blocks sum complex pairs under the float screen.
+    # second, fifth and sixth calls and 10.24 MB for the third and fourth; a
+    # call keeps its int8 signs, counts or flags, plus one block of
+    # temporaries.  factorial_heavy blocks sum complex pairs under the float
+    # screen.
     for call, bound in (
         (lambda: mc_crossing(from_dist(rademacher()), 16, 0, 100_000, 3), 4_000_000),
+        (lambda: mc_crossing(from_dist(rademacher()), 16, F(1, 2), 100_000, 3), 4_000_000),
         (lambda: mc_sign_changes(gaussian(), 32, 40_000, 3), 4_000_000),
+        (lambda: mc_sign_changes(from_dist(lazy_law()), 32, 40_000, 3), 4_000_000),
         (lambda: mc_crossing(factorial_heavy(64), 16, 0, 100_000, 3), 8_000_000),
         (lambda: factorial_dominance_stats(64, 16, 100_000, 3), 8_000_000),
     ):
