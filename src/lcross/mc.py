@@ -22,12 +22,30 @@ blocks in the order of one whole draw, so results are reproducible and
 independent of parallelism.  factorial_heavy's sign bits follow all its
 samples*n index uniforms, so they come from a second generator on the
 same key, advanced past those draws, four per Philox counter step.
+
+A call whose draws span at least two blocks (samples*n >= 2*_BLOCK) runs
+on every CPU the process may use (_ranges, _each_range): its rows are cut
+into W contiguous ranges, the calling thread takes the first and helper
+threads the rest, and each range draws from its own generator advanced to
+its offset in the one stream (_stream_at).  Tables, cumulative weights,
+guide table and sign rule are built once per call and only read by the
+ranges, and each range streams blocks of _BLOCK // W steps, so the steps
+in flight stay at one block.  The calling thread allocates every range's
+draw arrays, so a helper's own heap keeps only its blocks' temporaries.
+numpy releases the GIL while it fills uniforms and runs its ufuncs, so the
+ranges overlap, and every output is the serial one bit for bit.  Gaussian
+and Cauchy steps stay serial: their ziggurat draws take a variable number
+of raw draws, so no range can know where its draws begin.
 """
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import isfinite, sqrt
 from operator import mul
@@ -58,6 +76,9 @@ _BLOCK = 2**16
 _FEW_ATOMS = 4
 
 LevelLike = Union[RationalLike, float]
+
+# Per row block of a range: its rows and that block's draws.
+Blocks = Iterator[Tuple[slice, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -136,12 +157,27 @@ class McEstimate:
         return asdict(self)
 
 
+def _check_key(name: str, value: int) -> None:
+    if not isinstance(value, int) or not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be an integer in [0, 2^64), got {value}")
+
+
 def seeded_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """Reproducible counter-based generator for the (seed, stream_id) pair."""
-    for name, value in (("seed", seed), ("stream_id", stream_id)):
-        if not isinstance(value, int) or not 0 <= value < 2**64:
-            raise ValueError(f"{name} must be an integer in [0, 2^64), got {value}")
-    return np.random.Generator(np.random.Philox(key=[seed, stream_id]))
+    _check_key("seed", seed)
+    _check_key("stream_id", stream_id)
+    # A uint64 array: from a list, numpy reads an entry >= 2^63 as a float64.
+    key = np.array([seed, stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _stream_at(seed: int, draws: int) -> np.random.Generator:
+    """The (seed, 0) stream past its first `draws` 64-bit draws, four per Philox counter step."""
+    rng = seeded_stream(seed, 0)
+    if draws:
+        rng.bit_generator.advance(draws // 4)
+        rng.random(draws % 4)
+    return rng
 
 
 def _bernoulli_estimate(
@@ -168,12 +204,11 @@ def _float_cumulative(masses: Tuple[int, ...], den: int) -> np.ndarray:
     return cum
 
 
-def _index_blocks(
-    rng: np.random.Generator, cum: np.ndarray, samples: int, n: int
-) -> Iterator[Tuple[slice, np.ndarray]]:
-    """Per row block: its rows and np.searchsorted(cum, u, side="right") for its uniforms u.
+def _index_blocks(cum: np.ndarray) -> Callable[[np.random.Generator, List[slice], int], Blocks]:
+    """draw(rng, blocks, n), yielding per row block its rows and the indices of its uniforms u.
 
-    This is the guide-table ("indexed search") method of Chen & Asau,
+    The indices are np.searchsorted(cum, u, side="right"), found by the
+    guide-table ("indexed search") method of Chen & Asau,
     AIIE Trans. 6 (1974); see also Devroye, Non-Uniform Random Variate
     Generation (1986), III.2.4.  m is a power of two, at least 1024 and
     4*len(cum) and at most 2^16.  Multiplying by a power of two only shifts
@@ -185,24 +220,24 @@ def _index_blocks(
     holds at most one entry, that entry is t[start[b]], so one compare
     v >= t[start[b]] completes the index.  Draws in buckets that hold two
     or more entries (skewed laws, equal float entries) are answered by
-    searchsorted itself.  Blocks draw their uniforms in turn, in C order, as
-    one rng.random((samples, n)) call would.  Each block overwrites the
-    arrays of the one before, so read it before asking for the next.
+    searchsorted itself.  The table is built here, once, and draw only reads
+    it.  The blocks of one draw are consecutive rows of n draws, the first
+    the largest; they take their uniforms in turn, in C order, as one
+    rng.random call over those rows would.  draw allocates its arrays when
+    called, so they come from the calling thread's heap whichever thread
+    iterates them, and each block overwrites the arrays of the one before, so
+    read it before asking for the next.
     """
     m = 1 << min(16, max(10, (4 * len(cum) - 1).bit_length()))
     t = cum * m
     start = np.searchsorted(t, np.arange(m, dtype=np.float64), side="right")
     crowded = np.searchsorted(t, np.arange(1, m + 1, dtype=np.float64), side="left") - start >= 2
     any_crowded = bool(crowded.any())
-    size = min(samples, max(1, _BLOCK // n)) * n
-    # One allocation for the four 8-byte arrays: once glibc has unmapped a chunk
-    # it keeps freed heap up to twice that size, so later calls reuse warm pages.
-    v, at, bucket, idx = np.empty((4, size))
-    bucket, idx, above = bucket.view(np.intp), idx.view(np.intp), np.empty(size, dtype=bool)
-    for rows in _row_blocks(samples, n):
+
+    def block(rng, rows: slice, n: int, arrays: Tuple[np.ndarray, ...]):
         k = (rows.stop - rows.start) * n
-        if k < size:  # a short last block
-            v, at, bucket, above, idx = (a[:k] for a in (v, at, bucket, above, idx))
+        # A short last block takes the front of each array.
+        v, at, bucket, above, idx = (a[:k] for a in arrays) if k < len(arrays[0]) else arrays
         rng.random(out=v)
         v *= m
         np.copyto(bucket, v, casting="unsafe")
@@ -213,13 +248,25 @@ def _index_blocks(
         if any_crowded:
             hit = crowded[bucket]
             idx[hit] = np.searchsorted(t, v[hit], side="right")
-        yield rows, idx.reshape(-1, n)
+        return rows, idx.reshape(-1, n)
+
+    def draw(rng: np.random.Generator, blocks: List[slice], n: int) -> Blocks:
+        size = (blocks[0].stop - blocks[0].start) * n
+        # One allocation for the four 8-byte arrays: once glibc has unmapped a chunk
+        # it keeps freed heap up to twice that size, so later calls reuse warm pages.
+        v, at, bucket, idx = np.empty((4, size))
+        arrays = v, at, bucket.view(np.intp), np.empty(size, dtype=bool), idx.view(np.intp)
+        return (block(rng, rows, n, arrays) for rows in blocks)
+
+    return draw
 
 
 def _few_atom_blocks(
-    rng: np.random.Generator, cum: np.ndarray, table: np.ndarray, samples: int, n: int
-) -> Iterator[Tuple[slice, np.ndarray]]:
-    """Per row block: its rows and steps table[np.searchsorted(cum, u, side="right")], times x rows.
+    cum: np.ndarray, table: np.ndarray
+) -> Callable[[np.random.Generator, List[slice], int], Blocks]:
+    """draw(rng, blocks, n), yielding per row block its rows and the steps of its uniforms u.
+
+    The steps are table[np.searchsorted(cum, u, side="right")], times x rows.
 
     Sequential search (Devroye, Non-Uniform Random Variate Generation
     (1986), III.2.1).  cum is nondecreasing and every u is below cum[-1] = 1,
@@ -229,24 +276,30 @@ def _few_atom_blocks(
     difference may wrap, but the sum ends on table[index], which fits, and
     wrapping adds are exact modulo the dtype's range.  The steps are built
     rows x times, as the uniforms lie, and transposed once.  Blocks draw
-    their uniforms as _index_blocks does and overwrite the arrays of the one
-    before.
+    their uniforms as _index_blocks does, from arrays allocated when draw is
+    called, and overwrite the arrays of the one before.
     """
     boundaries = list(zip(cum[:-1], np.diff(table)))
-    size = min(samples, max(1, _BLOCK // n)) * n
-    v, above = np.empty(size), np.empty(size, dtype=bool)
-    acc, gap, steps = np.empty((3, size), dtype=table.dtype)
-    for rows in _row_blocks(samples, n):
+
+    def block(rng, rows: slice, n: int, arrays: Tuple[np.ndarray, ...]):
         k = (rows.stop - rows.start) * n
-        if k < size:  # a short last block
-            v, above, acc, gap, steps = (a[:k] for a in (v, above, acc, gap, steps))
+        # A short last block takes the front of each array.
+        v, above, acc, gap, steps = (a[:k] for a in arrays) if k < len(arrays[0]) else arrays
         rng.random(out=v)
         acc.fill(table[0])
         for c, d in boundaries:
             np.greater_equal(v, c, out=above)
             acc += np.multiply(above, d, out=gap)
         np.copyto(steps.reshape(n, -1), acc.reshape(-1, n).T)
-        yield rows, steps.reshape(n, -1)
+        return rows, steps.reshape(n, -1)
+
+    def draw(rng: np.random.Generator, blocks: List[slice], n: int) -> Blocks:
+        size = (blocks[0].stop - blocks[0].start) * n
+        acc, gap, steps = np.empty((3, size), dtype=table.dtype)
+        arrays = np.empty(size), np.empty(size, dtype=bool), acc, gap, steps
+        return (block(rng, rows, n, arrays) for rows in blocks)
+
+    return draw
 
 
 def _index_cumulative(trunc: int) -> np.ndarray:
@@ -258,19 +311,33 @@ def _index_cumulative(trunc: int) -> np.ndarray:
 
 def _factorial_blocks(
     seed: int, trunc: int, samples: int, n: int
-) -> Iterator[Tuple[slice, np.ndarray]]:
-    """Per row block: its rows and step codes 2k + b, k in 1..trunc and b = 1 for +k!.
+) -> Callable[[List[slice]], Blocks]:
+    """codes(blocks), yielding per row block its rows and step codes 2k + b.
 
-    The codes overwrite the index draws, so a block holds no array of its own.
+    k is in 1..trunc, and b = 1 for +k!.
+
+    The codes overwrite the index draws, which codes allocates when called,
+    as _index_blocks does, so a block holds no array of its own.  Each sign
+    bit takes one 32-bit half of a 64-bit draw, low half first, so the bits
+    of a range that starts c codes in begin c // 2 draws past the samples*n
+    index uniforms, one half further when c is odd.
     """
-    cum, bits = _index_cumulative(trunc), seeded_stream(seed, 0)
-    bits.bit_generator.advance(samples * n // 4)
-    bits.random(samples * n % 4)
-    for rows, code in _index_blocks(seeded_stream(seed, 0), cum, samples, n):
+    draw = _index_blocks(_index_cumulative(trunc))
+
+    def signed(rows: slice, code: np.ndarray, bits: np.random.Generator):
         code += 1
         code <<= 1
         code += bits.integers(0, 2, code.shape)
-        yield rows, code
+        return rows, code
+
+    def codes(blocks: List[slice]) -> Blocks:
+        c = blocks[0].start * n
+        bits = _stream_at(seed, samples * n + c // 2)
+        if c % 2:
+            bits.integers(0, 2, 1)  # the low half of the range's first draw
+        return (signed(rows, code, bits) for rows, code in draw(_stream_at(seed, c), blocks, n))
+
+    return codes
 
 
 def _factorials(trunc: int) -> List[int]:
@@ -291,15 +358,93 @@ def _coerce_level(level: LevelLike) -> Fraction:
     return as_rational(level)
 
 
-def _check_samples(samples: int) -> None:
+def _check_draws(samples: int, seed: int) -> None:
     if not isinstance(samples, int) or samples < 100:
         raise ValueError(f"samples must be an integer >= 100, got {samples}")
+    _check_key("seed", seed)
 
 
-def _row_blocks(samples: int, n: int) -> Iterator[slice]:
-    """Consecutive row ranges covering 0..samples, each of max(1, _BLOCK // n) rows or fewer."""
-    rows = max(1, _BLOCK // n)
-    return (slice(lo, min(lo + rows, samples)) for lo in range(0, samples, rows))
+def _row_blocks(lo: int, hi: int, rows: int) -> List[slice]:
+    """Consecutive row ranges covering lo..hi, each of `rows` rows or fewer."""
+    return [slice(a, min(a + rows, hi)) for a in range(lo, hi, rows)]
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _ranges(samples: int, n: int, split: bool = True) -> List[List[slice]]:
+    """The row blocks of each range of rows a call runs, in row order.
+
+    Unless split is false, a call whose samples*n steps fill at least two
+    blocks is cut into W contiguous ranges of about samples / W rows: one per
+    CPU, but no more than it fills blocks.  Each range streams blocks of
+    _BLOCK // W steps (one row when n is larger), so the steps in flight over
+    all ranges stay at one block.  With W = 1 this is the serial call.
+    """
+    w = max(1, min(_cpus(), samples * n // _BLOCK, samples)) if split else 1
+    edges = [samples * i // w for i in range(w + 1)]
+    rows = max(1, _BLOCK // w // n)
+    return [_row_blocks(lo, hi, rows) for lo, hi in zip(edges, edges[1:])]
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    while True:
+        tasks.get()()
+
+
+def _reset_helpers() -> None:
+    """No helper threads yet: the state of a fresh process, and of a forked child."""
+    global _TASKS, _HELPERS, _HELPERS_LOCK
+    _TASKS, _HELPERS, _HELPERS_LOCK = queue.SimpleQueue(), 0, threading.Lock()
+
+
+_reset_helpers()
+os.register_at_fork(after_in_child=_reset_helpers)
+
+
+def _each_range(parts: List[Blocks], work: Callable[[Blocks], None]) -> None:
+    """work(part) for every part of a call: the first on this thread, the rest on helper threads.
+
+    A part is a range's blocks, made by the calling thread, so the arrays a
+    range draws into come from that thread's heap: a helper's own heap then
+    keeps only the temporaries of its blocks.  Helpers are daemon threads,
+    started by the first call that needs them and kept.  Returns, or raises
+    the error of the first part that failed, only once every part has
+    stopped, so no thread writes into the caller's arrays after the call.
+    """
+    if len(parts) == 1:
+        return work(parts[0])
+    global _HELPERS
+    errors: List[Optional[BaseException]] = [None] * len(parts)
+    stopped = threading.Semaphore(0)
+
+    def run(k: int) -> None:
+        try:
+            work(parts[k])
+        except BaseException as e:  # raised by the caller, below
+            errors[k] = e
+        finally:
+            stopped.release()
+
+    with _HELPERS_LOCK:
+        for _ in range(_HELPERS, len(parts) - 1):
+            threading.Thread(target=_serve, args=(_TASKS,), name="lcross-mc", daemon=True).start()
+        _HELPERS = max(_HELPERS, len(parts) - 1)
+    for k in range(1, len(parts)):
+        _TASKS.put(partial(run, k))
+    try:
+        work(parts[0])
+    finally:
+        for _ in parts[1:]:
+            stopped.acquire()
+    for e in errors:
+        if e is not None:
+            raise e
 
 
 def _running_sums(a: np.ndarray) -> np.ndarray:
@@ -404,24 +549,34 @@ def _sign_rule(
 
 
 def _path_signs(
-    s: StepSampler, n: int, samples: int, seed: int, level: LevelLike, first: int
-) -> Iterator[Tuple[slice, np.ndarray]]:
-    """Per row block: its rows and sgn(S_k - l), k = first..n, as int8 times x rows.
+    s: StepSampler,
+    n: int,
+    samples: int,
+    seed: int,
+    level: LevelLike,
+    first: int,
+    take: Callable[[slice, np.ndarray], None],
+) -> None:
+    """take(rows, signs) per row block, signs = sgn(S_k - l), k = first..n, as int8 times x rows.
 
-    Blocks draw their steps from the (seed, 0) stream in turn.  Integer
-    positions are on the common denominator of steps and level.
+    The blocks draw their steps from the (seed, 0) stream, split into
+    ranges that run at once (_ranges) unless the steps are Gaussian or
+    Cauchy, so take must only write the block's own rows.  Integer positions
+    are on the common denominator of steps and level.
     """
     read, level_q = max(first, 1), _coerce_level(level)
     zero = (level_q < 0) - (level_q > 0)  # sgn(S_0 - l)
     if s.kind in ("gaussian", "cauchy"):
-        rng, lf = seeded_stream(seed, 0), float(level_q)
-        shapes = ((rows, (rows.stop - rows.start, n)) for rows in _row_blocks(samples, n))
-        if s.kind == "gaussian":
-            blocks = ((rows, rng.normal(s.mean, s.sd, shape)) for rows, shape in shapes)
-        else:
-            blocks = (
-                (rows, s.location + s.scale * rng.standard_cauchy(shape)) for rows, shape in shapes
-            )
+        lf = float(level_q)
+
+        def blocks_of(blocks: List[slice]) -> Blocks:
+            rng = seeded_stream(seed, 0)  # the one range, from row 0
+            for rows in blocks:
+                shape = (rows.stop - rows.start, n)
+                if s.kind == "gaussian":
+                    yield rows, rng.normal(s.mean, s.sd, shape)
+                else:
+                    yield rows, s.location + s.scale * rng.standard_cauchy(shape)
 
         def rule(steps: np.ndarray, out: np.ndarray) -> None:
             sums = _running_sums(np.ascontiguousarray(steps.T))[read - 1 :]
@@ -431,52 +586,64 @@ def _path_signs(
         assert s.dist is not None
         k, shift = s.dist.joint(level_q)
         table = [x * k for x in s.dist.points]
-        rng, cum = seeded_stream(seed, 0), _float_cumulative(s.dist.masses, s.dist.den)
+        cum = _float_cumulative(s.dist.masses, s.dist.den)
         dtype = _int_dtype(_reach(table, n, shift))
         if len(table) <= _FEW_ATOMS and dtype is not None:
-            blocks = _few_atom_blocks(rng, cum, np.array(table, dtype=dtype), samples, n)
+            draw = _few_atom_blocks(cum, np.array(table, dtype=dtype))
             rule = lambda steps, out: _int_signs(steps, shift, read, out)
         else:
-            blocks = _index_blocks(rng, cum, samples, n)
+            draw = _index_blocks(cum)
             rule = _sign_rule(table, n, shift, read)
+        blocks_of = lambda blocks: draw(_stream_at(seed, blocks[0].start * n), blocks, n)
     else:
         shift, den = level_q.numerator, level_q.denominator
         magnitudes = _factorials(s.trunc)
         table = _signed_table([f * den for f in magnitudes] if den > 1 else magnitudes)
-        blocks = _factorial_blocks(seed, s.trunc, samples, n)
+        blocks_of = _factorial_blocks(seed, s.trunc, samples, n)
         rule = _sign_rule(table, n, shift, read)
-    for rows, steps in blocks:
-        out = np.empty((n + 1 - first, rows.stop - rows.start), dtype=np.int8)
-        out[0] = zero  # the rule overwrites it unless first = 0
-        rule(steps, out[read - first :])
-        yield rows, out
+
+    def run(part: Blocks) -> None:
+        for rows, steps in part:
+            out = np.empty((n + 1 - first, rows.stop - rows.start), dtype=np.int8)
+            out[0] = zero  # the rule overwrites it unless first = 0
+            rule(steps, out[read - first :])
+            take(rows, out)
+
+    ranges = _ranges(samples, n, s.kind not in ("gaussian", "cauchy"))
+    _each_range([blocks_of(blocks) for blocks in ranges], run)
 
 
 def mc_crossing(
     s: StepSampler, n: int, level: LevelLike, samples: int, seed: int
 ) -> McEstimate:
     """Frequency of sgn(S_n - l) != sgn(S_{n-1} - l) over sampled paths."""
-    _check_samples(samples)
+    _check_draws(samples, seed)
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     params = {"n": n, "level": str(level), "sampler": s.describe()}
     signs = np.empty((2, samples), dtype=np.int8)
-    for rows, block in _path_signs(s, n, samples, seed, level, n - 1):
+
+    def keep(rows: slice, block: np.ndarray) -> None:
         signs[:, rows] = block
+
+    _path_signs(s, n, samples, seed, level, n - 1, keep)
     hits = int(np.count_nonzero(signs[0] != signs[1]))
     return _bernoulli_estimate("crossing", hits, samples, seed, params)
 
 
 def mc_sign_changes(s: StepSampler, N: int, samples: int, seed: int) -> McEstimate:
     """Mean number of sign changes of the walk over times 1..N (level 0)."""
-    _check_samples(samples)
+    _check_draws(samples, seed)
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     params = {"N": N, "sampler": s.describe()}
     counts = np.empty(samples, dtype=np.int64)
+
     # Time 0 is in each block, so a path's first nonzero sign counts as a change.
-    for rows, block in _path_signs(s, N, samples, seed, 0, 0):
+    def count(rows: slice, block: np.ndarray) -> None:
         counts[rows] = np.count_nonzero(block[1:] != block[:-1], axis=0)
+
+    _path_signs(s, N, samples, seed, 0, 0, count)
     return _count_estimate("sign_changes", counts, samples, seed, params)
 
 
@@ -487,22 +654,27 @@ def mc_top_two_tie(pk_sampler: StepSampler, n: int, samples: int, seed: int) -> 
     from_dist they are the sampled values.  Continuous samplers never tie,
     so they are rejected.
     """
-    _check_samples(samples)
+    _check_draws(samples, seed)
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n}")
     if pk_sampler.kind not in ("from_dist", "factorial_heavy"):
         raise ValueError("tie estimation needs a discrete sampler")
-    rng = seeded_stream(seed, 0)
     params = {"n": n, "sampler": pk_sampler.describe()}
     if pk_sampler.kind == "factorial_heavy":
         cum = _index_cumulative(pk_sampler.trunc)
     else:
         assert pk_sampler.dist is not None
         cum = _float_cumulative(pk_sampler.dist.masses, pk_sampler.dist.den)
+    draw = _index_blocks(cum)
     tie = np.empty(samples, dtype=bool)
-    for rows, top in _index_blocks(rng, cum, samples, n):
-        top.sort(axis=1)
-        tie[rows] = top[:, -1] == top[:, -2]
+
+    def tally(part: Blocks) -> None:
+        for rows, top in part:
+            top.sort(axis=1)
+            tie[rows] = top[:, -1] == top[:, -2]
+
+    ranges = _ranges(samples, n)
+    _each_range([draw(_stream_at(seed, b[0].start * n), b, n) for b in ranges], tally)
     hits = int(np.count_nonzero(tie))
     return _bernoulli_estimate("top_two_tie", hits, samples, seed, params)
 
@@ -546,26 +718,31 @@ def factorial_dominance_stats(trunc: int, n: int, samples: int, seed: int) -> di
     The audit counts certified paths, sign agreement, and the uncertified
     remainder (paths whose top index is unique but not dominant).
     """
-    _check_samples(samples)
+    _check_draws(samples, seed)
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n}")
     sampler = factorial_heavy(trunc)
     distinct, dominant, agree = np.empty((3, samples), dtype=bool)
     rule = _sign_rule(_signed_table(_factorials(trunc)), n, 0, n)
-    for rows, code in _factorial_blocks(seed, trunc, samples, n):
-        total, margin = np.empty((2, 1, len(code)), dtype=np.int8)
-        rule(code, total)
-        # A largest code has a largest index: the top step, when that index is unique.
-        at = np.arange(len(code)), code.argmax(axis=1)
-        top = code[at]
-        code |= 1
-        distinct[rows] = np.count_nonzero(code == (top | 1)[:, None], axis=1) == 1
-        # The top step counted negative and every other step positive: the sum
-        # is negative exactly when top! exceeds the sum of the other magnitudes.
-        code[at] = top & ~1
-        rule(code, margin)
-        np.logical_and(distinct[rows], margin[0] < 0, out=dominant[rows])
-        np.logical_and(distinct[rows], total[0] == 2 * (top & 1) - 1, out=agree[rows])
+    codes = _factorial_blocks(seed, trunc, samples, n)
+
+    def audit(part: Blocks) -> None:
+        for rows, code in part:
+            total, margin = np.empty((2, 1, len(code)), dtype=np.int8)
+            rule(code, total)
+            # A largest code has a largest index: the top step, when that index is unique.
+            at = np.arange(len(code)), code.argmax(axis=1)
+            top = code[at]
+            code |= 1
+            distinct[rows] = np.count_nonzero(code == (top | 1)[:, None], axis=1) == 1
+            # The top step counted negative and every other step positive: the sum
+            # is negative exactly when top! exceeds the sum of the other magnitudes.
+            code[at] = top & ~1
+            rule(code, margin)
+            np.logical_and(distinct[rows], margin[0] < 0, out=dominant[rows])
+            np.logical_and(distinct[rows], total[0] == 2 * (top & 1) - 1, out=agree[rows])
+
+    _each_range([codes(blocks) for blocks in _ranges(samples, n)], audit)
     return {
         "sampler": sampler.describe(),
         "samples": samples,

@@ -89,6 +89,34 @@ def test_import_lcross_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_mc_starts_threads_only_for_split_calls():
+    # 8191 x 16 steps fill less than two blocks, and Gaussian draws never
+    # split; 8192 x 16 fill two, so that call runs on a helper thread too.
+    proc = _python(
+        "import threading\n"
+        "import lcross\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "import lcross.mc as mc\n"
+        "assert 'concurrent.futures' not in sys.modules and threading.active_count() == 1\n"
+        "mc._cpus = lambda: 2\n"
+        "r = mc.from_dist(lcross.rademacher())\n"
+        "mc.mc_crossing(r, 16, 0, 8191, 0)\n"
+        "mc.mc_sign_changes(mc.gaussian(), 16, 100000, 0)\n"
+        "assert 'concurrent.futures' not in sys.modules and threading.active_count() == 1\n"
+        "est = mc.mc_crossing(r, 16, 0, 8192, 0)\n"
+        "assert threading.active_count() == 2\n"
+        "assert mc.mc_crossing(r, 16, 0, 8192, 0) == est and threading.active_count() == 2\n"
+        # A forked child has no helper threads, and starts its own.
+        "import os\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    import signal; signal.alarm(60)  # a child that hangs ends itself\n"
+        "    os._exit(0 if mc.mc_crossing(r, 16, 0, 8192, 0) == est else 1)\n"
+        "assert os.waitpid(pid, 0)[1] == 0\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_exact_core_runs_without_numpy(capsys):
     proc = _python(BLOCK_NUMPY + EXACT_CALLS)
     assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,11 @@
 import itertools
 import math
 import random
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -64,6 +68,34 @@ def test_seeded_stream_contract():
             seeded_stream(bad)
         with pytest.raises(ValueError):
             seeded_stream(0, bad)
+
+
+def test_seeded_stream_keys_use_all_64_bits():
+    # A key read through float64 would send 2^64 - 1 to seed 0's stream and
+    # join 2^63 and 2^63 + 1.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.array_equal(seeded_stream(2**64 - 1).random(8), seeded_stream(0).random(8))
+        top = seeded_stream(2**63).random(8)
+        assert not np.array_equal(top, seeded_stream(2**63 + 1).random(8))
+        for seed, stream_id in ((2**64 - 1, 2**63), (2**63 + 1, 0), (5, 2**64 - 1)):
+            key = np.random.Philox(key=seed + (stream_id << 64))  # two 64-bit words, low first
+            got = seeded_stream(seed, stream_id).random(8)
+            assert np.array_equal(got, np.random.Generator(key).random(8))
+        r = from_dist(rademacher())
+        assert mc_crossing(r, 8, 0, 1000, 2**64 - 1).mean == 0.259
+        assert mc_crossing(r, 8, 0, 1000, 0).mean == 0.272
+        # Keys below 2^63 keep the streams they always had.
+        assert [x.hex() for x in seeded_stream(2**63 - 1, 7).random(3)] == [
+            "0x1.e5e16afac301dp-1",
+            "0x1.4954944921318p-1",
+            "0x1.1bf584fb5afa8p-4",
+        ]
+        assert [x.hex() for x in seeded_stream(12345, 2**63 - 1).random(3)] == [
+            "0x1.14b0bf41b985bp-1",
+            "0x1.231d87a0488a0p-4",
+            "0x1.04f5556afac88p-3",
+        ]
 
 
 def test_sampler_validation():
@@ -481,7 +513,7 @@ def test_signs_equal_exact_partial_sums(case):
     samples, n = code.shape
     rule = _sign_rule(table, n, shift, first)
     got = np.empty((n + 1 - first, samples), dtype=np.int8)
-    for rows in _row_blocks(samples, n):
+    for rows in _row_blocks(0, samples, max(1, _BLOCK // n)):
         rule(code[rows], got[:, rows])
     # Object arrays hold Python ints, so these running sums are exact.
     exact = np.cumsum(np.array(table, dtype=object)[code], axis=1)[:, first - 1 :]
@@ -632,7 +664,8 @@ _CUMULATIVES = st.one_of(
 def _draw_indices(rng, cum, shape):
     """The indices that _index_blocks yields block by block, as one array."""
     out = np.empty(shape, dtype=np.intp)
-    for rows, block in _index_blocks(rng, cum, *shape):
+    blocks = _row_blocks(0, shape[0], max(1, _BLOCK // shape[1]))
+    for rows, block in _index_blocks(cum)(rng, blocks, shape[1]):
         out[rows] = block
     return out
 
@@ -673,7 +706,8 @@ def _few_atom_tables(draw, atoms):
 def _few_atom_steps(rng, cum, table, shape):
     """The steps that _few_atom_blocks yields block by block, as one samples x n array."""
     out = np.empty(shape, dtype=table.dtype)
-    for rows, block in _few_atom_blocks(rng, cum, table, *shape):
+    blocks = _row_blocks(0, shape[0], max(1, _BLOCK // shape[1]))
+    for rows, block in _few_atom_blocks(cum, table)(rng, blocks, shape[1]):
         out[rows] = block.T
     return out
 
@@ -775,3 +809,138 @@ def test_estimators_hold_one_block_of_paths():
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+# Calls on every path that splits into ranges: sequential search, the guide
+# table, the float screen, exact sums past 2^1000, factorial_heavy's sign
+# bits, ties and the audit.  1001 rows split into neither 2 nor 3 equal
+# ranges; in three, at n = 7, the ranges start 2331 and 4669 codes in, odd
+# counts of factorial_heavy's 32-bit sign halves.
+SPLIT_CALLS = [
+    lambda: mc_crossing(from_dist(rademacher()), 7, F(1, 2), 1001, 5),
+    lambda: mc_sign_changes(from_dist(lazy_law()), 7, 1001, 5),
+    lambda: mc_crossing(from_dist(uniform_range(-50, 50)), 7, -7, 1001, 5),
+    lambda: mc_sign_changes(from_dist(make_dist(NEAR_2_61)), 7, 1001, 5),
+    lambda: mc_crossing(factorial_heavy(64), 7, F(1, 3), 1001, 5),
+    lambda: mc_sign_changes(factorial_heavy(200), 7, 1001, 5),
+    lambda: mc_top_two_tie(factorial_heavy(64), 7, 1001, 5),
+    lambda: mc_top_two_tie(from_dist(make_dist([(k, k) for k in range(1, 9)])), 7, 1001, 5),
+    lambda: factorial_dominance_stats(64, 7, 1001, 5),
+]
+
+
+def _split_ways(monkeypatch, workers, block):
+    monkeypatch.setattr(mc, "_cpus", lambda: workers)
+    monkeypatch.setattr(mc, "_BLOCK", block)
+    ranges = mc._ranges(1001, 7)
+    assert len(ranges) == workers
+    return ranges
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_split_calls_equal_the_serial_call(monkeypatch, workers):
+    monkeypatch.setattr(mc, "_cpus", lambda: 1)
+    serial = [call() for call in SPLIT_CALLS]
+    ranges = _split_ways(monkeypatch, workers, 256)
+    # Each range holds blocks of 256 // workers steps and ends inside a block.
+    rows = max(1, 256 // workers // 7)
+    for blocks in ranges:
+        assert all(b.stop - b.start == rows for b in blocks[:-1])
+        assert 0 < blocks[-1].stop - blocks[-1].start <= rows
+    assert workers == 1 or any(b[-1].stop - b[-1].start < rows for b in ranges)
+    assert [call() for call in SPLIT_CALLS] == serial
+    # The signs themselves, row by row, on each draw path.
+    for s, level in (
+        (from_dist(rademacher()), 0),
+        (from_dist(uniform_range(-50, 50)), 3),
+        (from_dist(make_dist(NEAR_2_61)), F(5, 2)),
+        (factorial_heavy(64), F(1, 3)),
+    ):
+        got = []
+        for w in (1, workers):
+            monkeypatch.setattr(mc, "_cpus", lambda: w)
+            signs = np.zeros((8, 1001), dtype=np.int8)
+
+            def keep(rows, block):
+                signs[:, rows] = block
+
+            mc._path_signs(s, 7, 1001, 5, level, 0, keep)
+            got.append(signs)
+        assert np.array_equal(*got)
+
+
+def test_gaussian_and_cauchy_calls_stay_serial(monkeypatch):
+    _split_ways(monkeypatch, 3, 256)
+    seen = []
+    real = mc._each_range
+
+    def each_range(ranges, work):
+        seen.append(len(ranges))
+        real(ranges, work)
+
+    monkeypatch.setattr(mc, "_each_range", each_range)
+    mc_crossing(gaussian(), 7, 0, 1001, 5)
+    mc_sign_changes(cauchy(), 7, 1001, 5)
+    mc_crossing(from_dist(rademacher()), 7, 0, 1001, 5)
+    assert seen == [1, 1, 3]
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_a_failing_range_raises_once_every_range_has_stopped(monkeypatch, failing):
+    ranges = _split_ways(monkeypatch, 3, 256)
+    starts = [blocks[0].start for blocks in ranges]
+    out = np.zeros(1001, dtype=np.int64)
+
+    def work(blocks):
+        k = starts.index(blocks[0].start)
+        if k == failing:
+            raise RuntimeError(f"range {k} failed")
+        for rows in blocks:
+            time.sleep(0.002)
+            out[rows] = k + 1
+
+    with pytest.raises(RuntimeError, match=f"range {failing} failed"):
+        mc._each_range(ranges, work)
+    written = out.copy()
+    time.sleep(0.05)
+    assert np.array_equal(out, written)  # no range writes after the call
+    for k, blocks in enumerate(ranges):  # and every other range ran to its end
+        rows = slice(blocks[0].start, blocks[-1].stop)
+        assert (out[rows] == (0 if k == failing else k + 1)).all()
+    # An estimator raises the error of a range that ran on a helper thread too.
+    real = mc._int_signs
+
+    def int_signs(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("helper range failed")
+        return real(*args)
+
+    monkeypatch.setattr(mc, "_int_signs", int_signs)
+    with pytest.raises(RuntimeError, match="helper range failed"):
+        mc_crossing(from_dist(rademacher()), 7, 0, 1001, 5)
+
+
+def test_split_calls_from_many_threads_under_fast_switching(monkeypatch):
+    # More ranges than CPUs and callers sharing the helpers, with the
+    # interpreter switching threads every microsecond: a lost update to the
+    # helper count or to any row would change a result.
+    monkeypatch.setattr(mc, "_cpus", lambda: 1)
+    serial = [call() for call in SPLIT_CALLS]
+    _split_ways(monkeypatch, 4, 256)
+    got = {}
+
+    def caller(k):
+        got[k] = [call() for call in SPLIT_CALLS]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {k: serial for k in range(3)}
