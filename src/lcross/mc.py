@@ -24,18 +24,33 @@ samples*n index uniforms, so they come from a second generator on the
 same key, advanced past those draws, four per Philox counter step.
 
 A call whose draws span at least two blocks (samples*n >= 2*_BLOCK) runs
-on every CPU the process may use (_ranges, _each_range): its rows are cut
-into W contiguous ranges, the calling thread takes the first and helper
-threads the rest, and each range draws from its own generator advanced to
-its offset in the one stream (_stream_at).  Tables, cumulative weights,
-guide table and sign rule are built once per call and only read by the
-ranges, and each range streams blocks of _BLOCK // W steps, so the steps
-in flight stay at one block.  The calling thread allocates every range's
-draw arrays, so a helper's own heap keeps only its blocks' temporaries.
-numpy releases the GIL while it fills uniforms and runs its ufuncs, so the
-ranges overlap, and every output is the serial one bit for bit.  Gaussian
-and Cauchy steps stay serial: their ziggurat draws take a variable number
-of raw draws, so no range can know where its draws begin.
+on every CPU the process may use, W of them (_workers).  Uniform-driven
+draws (_ranges, _each_range) cut the rows into W contiguous ranges: the
+calling thread takes the first and helper threads the rest, and each range
+draws from its own generator advanced to its offset in the one stream
+(_stream_at).  Tables, cumulative weights, guide table and sign rule are
+built once per call and only read by the ranges, and each range streams
+blocks of _BLOCK // W steps, so the steps in flight stay at one block.
+The calling thread allocates every range's draw arrays, so a helper's own
+heap keeps only its blocks' temporaries.  numpy releases the GIL while it
+fills draws and runs its ufuncs, so the ranges overlap, and every output is
+the serial one bit for bit.
+
+Gaussian and Cauchy steps are made of one stream of ziggurat standard
+normals (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000), which read one
+raw draw each, or more on a rejection, so no block knows where its draws
+begin.  They are drawn in rounds of W blocks of at most _BLOCK // W steps,
+one per CPU (_normal_blocks): the first block from the exact generator,
+each later one speculatively from a lower bound of its start, the round's
+start plus the normals before it.  In block order, each speculative block
+is settled (_settle): the true first normal, drawn where the block before
+it ends, is found in the speculative draws at some index j, and the draws
+from j are kept only if a generator started at the lower bound has the
+whole Philox state there (counter, buffer_pos, has_uint32) after j
+normals, so both parse the raw draws alike from then on; otherwise the
+block is redrawn where it truly starts.  The estimates are therefore the
+serial ones bit for bit, by construction.  Each round's tasks first sum
+and sign the blocks of the round before, so that work overlaps the draws.
 """
 
 from __future__ import annotations
@@ -47,9 +62,9 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from math import isfinite, sqrt
+from math import inf, isfinite, sqrt
 from operator import mul
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -79,6 +94,7 @@ LevelLike = Union[RationalLike, float]
 
 # Per row block of a range: its rows and that block's draws.
 Blocks = Iterator[Tuple[slice, np.ndarray]]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -377,16 +393,21 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _ranges(samples: int, n: int, split: bool = True) -> List[List[slice]]:
+def _workers(samples: int, n: int) -> int:
+    """W for a call: one per CPU, but no more than its samples*n steps fill whole blocks (_BLOCK)."""
+    return max(1, min(_cpus(), samples * n // _BLOCK, samples))
+
+
+def _ranges(samples: int, n: int) -> List[List[slice]]:
     """The row blocks of each range of rows a call runs, in row order.
 
-    Unless split is false, a call whose samples*n steps fill at least two
-    blocks is cut into W contiguous ranges of about samples / W rows: one per
-    CPU, but no more than it fills blocks.  Each range streams blocks of
-    _BLOCK // W steps (one row when n is larger), so the steps in flight over
-    all ranges stay at one block.  With W = 1 this is the serial call.
+    A call whose samples*n steps fill at least two blocks is cut into W
+    contiguous ranges of about samples / W rows (_workers).  Each range
+    streams blocks of _BLOCK // W steps (one row when n is larger), so the
+    steps in flight over all ranges stay at one block.  With W = 1 this is
+    the serial call.
     """
-    w = max(1, min(_cpus(), samples * n // _BLOCK, samples)) if split else 1
+    w = _workers(samples, n)
     edges = [samples * i // w for i in range(w + 1)]
     rows = max(1, _BLOCK // w // n)
     return [_row_blocks(lo, hi, rows) for lo, hi in zip(edges, edges[1:])]
@@ -407,11 +428,12 @@ _reset_helpers()
 os.register_at_fork(after_in_child=_reset_helpers)
 
 
-def _each_range(parts: List[Blocks], work: Callable[[Blocks], None]) -> None:
+def _each_range(parts: List[T], work: Callable[[T], None]) -> None:
     """work(part) for every part of a call: the first on this thread, the rest on helper threads.
 
-    A part is a range's blocks, made by the calling thread, so the arrays a
-    range draws into come from that thread's heap: a helper's own heap then
+    A part is a range's blocks, or a block's index in a round of normals
+    (_normal_blocks), made by the calling thread, so the arrays a range or
+    round draws into come from that thread's heap: a helper's own heap then
     keeps only the temporaries of its blocks.  Helpers are daemon threads,
     started by the first call that needs them and kept.  Returns, or raises
     the error of the first part that failed, only once every part has
@@ -445,6 +467,117 @@ def _each_range(parts: List[Blocks], work: Callable[[Blocks], None]) -> None:
     for e in errors:
         if e is not None:
             raise e
+
+
+def _philox_state(rng: np.random.Generator) -> Tuple[int, int, int]:
+    """Where rng's stream goes on, in full: its position in raw 64-bit draws, has_uint32, uinteger.
+
+    A Philox generator refills its four-draw buffer when it steps its
+    counter, so with counter c and buffer_pos p (1..4) it has read 4c + p - 4
+    draws: one position for each reachable (counter, buffer_pos) pair.
+    """
+    st = rng.bit_generator.state
+    counter = sum(int(c) << 64 * i for i, c in enumerate(st["state"]["counter"]))
+    return 4 * counter + st["buffer_pos"] - 4, st["has_uint32"], st["uinteger"]
+
+
+def _margin(d: int) -> int:
+    """Room, in normals, for the lag of a block drawn from d draws past its round's start.
+
+    The block's d normals before it read d raw draws or more, so it truly
+    starts d or more draws past the round's start.  A ziggurat normal reads
+    1.0219 raw draws on average, with variance 0.036 (over 10^6 normals), so
+    the lag is about d / 47 normals with a standard deviation of about
+    sqrt(d / 28), and d // 16 + 64 is at least 17 of them above it at every
+    d.
+    """
+    return d // 16 + 64
+
+
+def _settle(
+    rng: np.random.Generator,
+    z: np.ndarray,
+    need: int,
+    spec: np.random.Generator,
+    check: np.random.Generator,
+) -> Tuple[np.ndarray, np.random.Generator]:
+    """The need normals of a block from rng's position, and a generator at their end.
+
+    z begins with need normals that spec drew from a lower bound of that
+    position and has room for more; check is a fresh twin of spec.  The
+    block's true first normal is drawn from rng and found in z at index j;
+    the block is z[j:], completed from spec, only if check reaches exactly
+    rng's former state after j normals, so that spec's parse of the raw
+    draws has met the true one and agrees with it from there on.  Otherwise
+    (no such j within the room, or a state that differs) the block is drawn
+    from rng itself.  Either way it is the serial draw, bit for bit.
+    """
+    at = _philox_state(rng)
+    first = rng.standard_normal()
+    hits = np.flatnonzero(z[: min(len(z) - need + 1, need)] == first)
+    if hits.size:
+        j = int(hits[0])
+        check.standard_normal(j)
+        if _philox_state(check) == at:
+            spec.standard_normal(out=z[need : need + j])
+            return z[j : j + need], spec
+    z[0] = first
+    rng.standard_normal(out=z[1:need])
+    return z[:need], rng
+
+
+def _normal_blocks(
+    seed: int, samples: int, n: int, per_step: int, work: Callable[[slice, np.ndarray], None]
+) -> None:
+    """work(rows, z) for every row block, z its rows*n*per_step standard normals.
+
+    The normals are those of one standard_normal call on the (seed, 0)
+    stream, in row order.  Blocks of at most _BLOCK // W steps (_workers)
+    are drawn in rounds of W, one per CPU: the first from the exact
+    generator, each later one speculatively, from the round's start plus
+    the normals before it (every normal reads at least one raw draw, so
+    that is a lower bound of its start), and then settled in order
+    (_settle).  Each round's tasks first run work on the block that the
+    round before drew into the same part of the buffer, so sums and signs
+    overlap the draws of other blocks, and one round's buffer, allocated
+    once by the calling thread, serves them all.
+    """
+    w = _workers(samples, n)
+    rounds = -(-samples // (max(1, _BLOCK // w // n) * w))
+    # As many rows per block as the fewest rounds need, so every round but the last is full.
+    blocks = _row_blocks(0, samples, -(-samples // (rounds * w)))
+    size = (blocks[0].stop - blocks[0].start) * n * per_step
+    # Block k of each round takes its normals and the room for its lag from starts[k].
+    starts = list(accumulate((size + _margin(k * size) for k in range(w)), initial=0))
+    buffer = np.empty(starts[-1])
+    rng = seeded_stream(seed, 0)
+    ready: List[Tuple[slice, np.ndarray]] = []
+    for r in range(0, len(blocks), w):
+        rows = blocks[r : r + w]
+        need = [(b.stop - b.start) * n * per_step for b in rows]
+        lower = list(accumulate(need[:-1], initial=_philox_state(rng)[0]))
+        z = [
+            buffer[starts[k] : starts[k] + m + _margin(d - lower[0])]
+            for k, (m, d) in enumerate(zip(need, lower))
+        ]
+        drawn: List[Tuple[np.random.Generator, ...]] = [()] * len(rows)  # (spec, check) per block
+
+        def task(k: int) -> None:
+            if k < len(ready):
+                work(*ready[k])
+            if k == 0:
+                rng.standard_normal(out=z[0][: need[0]])
+            elif k < len(rows):
+                spec, check = _stream_at(seed, lower[k]), _stream_at(seed, lower[k])
+                spec.standard_normal(out=z[k][: need[k]])
+                drawn[k] = spec, check
+
+        _each_range(list(range(max(len(rows), len(ready)))), task)
+        ready = [(rows[0], z[0][: need[0]])]
+        for k in range(1, len(rows)):
+            block, rng = _settle(rng, z[k], need[k], *drawn[k])
+            ready.append((rows[k], block))
+    _each_range(list(range(len(ready))), lambda k: work(*ready[k]))
 
 
 def _running_sums(a: np.ndarray) -> np.ndarray:
@@ -548,6 +681,53 @@ def _sign_rule(
     return screen_rule
 
 
+def _float_level(level: Fraction) -> float:
+    """The float nearest level; past the float range, the infinity beyond every float position."""
+    try:
+        return float(level)
+    except OverflowError:
+        return inf if level > 0 else -inf
+
+
+def _normal_rule(
+    s: StepSampler, n: int, level: float, first: int
+) -> Callable[[np.ndarray, np.ndarray], None]:
+    """rule(z, out) writes sgn(S_k - level), k = first..n, of steps made of normals z into out.
+
+    z is rows*n normals for Gaussian steps, mean + sd*z[i] as numpy's normal
+    forms them, and rows*n pairs for Cauchy steps,
+    location + scale*(z[2i] / z[2i+1]): numpy's standard_cauchy is a normal
+    over the next one.  A scale of 1 and a shift of 0 are skipped: x*1 is x,
+    and adding 0.0 only turns -0.0 into 0.0, which changes no nonzero sum and
+    no sign.  Positions are the float running sums of the steps, in time
+    order.  A sum that overflows float64 stays infinite or turns NaN from
+    there on, so a block whose last positions are not all finite raises
+    ValueError, in place of numpy's warnings.
+    """
+    pair = s.kind == "cauchy"
+    shift, scale = (s.location, s.scale) if pair else (s.mean, s.sd)
+
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # checked below
+    def rule(z: np.ndarray, out: np.ndarray) -> None:
+        sums = np.empty((n, len(z) // n // (1 + pair)))
+        if pair:
+            z = z.reshape(-1, n, 2)
+            np.divide(z[:, :, 0].T, z[:, :, 1].T, out=sums)
+        else:
+            np.copyto(sums, z.reshape(-1, n).T)
+        if scale != 1:
+            sums *= scale
+        if shift:
+            sums += shift
+        _running_sums(sums)
+        if not np.isfinite(sums[-1]).all():
+            raise ValueError(f"{s.kind} walk positions overflow float64; use a smaller scale or n")
+        sums = sums[first - 1 :]
+        np.sign(sums - level if level else sums, out=out, casting="unsafe")
+
+    return rule
+
+
 def _path_signs(
     s: StepSampler,
     n: int,
@@ -559,29 +739,16 @@ def _path_signs(
 ) -> None:
     """take(rows, signs) per row block, signs = sgn(S_k - l), k = first..n, as int8 times x rows.
 
-    The blocks draw their steps from the (seed, 0) stream, split into
-    ranges that run at once (_ranges) unless the steps are Gaussian or
-    Cauchy, so take must only write the block's own rows.  Integer positions
-    are on the common denominator of steps and level.
+    The blocks draw their steps from the (seed, 0) stream, in ranges that
+    run at once (_ranges), or, for Gaussian and Cauchy steps, in rounds of
+    blocks that run at once (_normal_blocks), so take must only write the
+    block's own rows.  Integer positions are on the common denominator of
+    steps and level.
     """
     read, level_q = max(first, 1), _coerce_level(level)
     zero = (level_q < 0) - (level_q > 0)  # sgn(S_0 - l)
     if s.kind in ("gaussian", "cauchy"):
-        lf = float(level_q)
-
-        def blocks_of(blocks: List[slice]) -> Blocks:
-            rng = seeded_stream(seed, 0)  # the one range, from row 0
-            for rows in blocks:
-                shape = (rows.stop - rows.start, n)
-                if s.kind == "gaussian":
-                    yield rows, rng.normal(s.mean, s.sd, shape)
-                else:
-                    yield rows, s.location + s.scale * rng.standard_cauchy(shape)
-
-        def rule(steps: np.ndarray, out: np.ndarray) -> None:
-            sums = _running_sums(np.ascontiguousarray(steps.T))[read - 1 :]
-            np.sign(sums - lf if lf else sums, out=out, casting="unsafe")
-
+        rule = _normal_rule(s, n, _float_level(level_q), read)
     elif s.kind == "from_dist":
         assert s.dist is not None
         k, shift = s.dist.joint(level_q)
@@ -602,15 +769,20 @@ def _path_signs(
         blocks_of = _factorial_blocks(seed, s.trunc, samples, n)
         rule = _sign_rule(table, n, shift, read)
 
+    def finish(rows: slice, steps: np.ndarray) -> None:
+        out = np.empty((n + 1 - first, rows.stop - rows.start), dtype=np.int8)
+        out[0] = zero  # the rule overwrites it unless first = 0
+        rule(steps, out[read - first :])
+        take(rows, out)
+
     def run(part: Blocks) -> None:
         for rows, steps in part:
-            out = np.empty((n + 1 - first, rows.stop - rows.start), dtype=np.int8)
-            out[0] = zero  # the rule overwrites it unless first = 0
-            rule(steps, out[read - first :])
-            take(rows, out)
+            finish(rows, steps)
 
-    ranges = _ranges(samples, n, s.kind not in ("gaussian", "cauchy"))
-    _each_range([blocks_of(blocks) for blocks in ranges], run)
+    if s.kind in ("gaussian", "cauchy"):
+        _normal_blocks(seed, samples, n, 1 + (s.kind == "cauchy"), finish)
+    else:
+        _each_range([blocks_of(blocks) for blocks in _ranges(samples, n)], run)
 
 
 def mc_crossing(

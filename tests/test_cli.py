@@ -402,6 +402,26 @@ def test_mc_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sampler, level", [("gaussian", "1e400"), ("cauchy", "-1e400")])
+def test_mc_levels_past_the_float_range(capsys, sampler, level):
+    # Past the float range, a level lies above or below every float position.
+    argv = ["mc", "--sampler", sampler, f"--level={level}", "--n", "4", "--samples", "1000"]
+    assert run(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["mean"] == 0.0 and out["params"]["level"] == level.replace("1e400", "1" + "0" * 400)
+
+
+def test_mc_overflowing_positions_exit_2_with_one_line(capsys):
+    for argv in (
+        ["mc", "--sampler", "cauchy", "--scale", "1e308", "--n", "4", "--samples", "1000"],
+        ["mc", "--estimand", "sign-changes", "--sampler", "gaussian", "--sd", "1e308", "--n", "8"],
+    ):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "overflow float64" in err
+        assert err.count("\n") == 1
+
+
 def test_mc_out_of_memory_is_an_input_error(capsys):
     # Each sample block needs petabytes, so its allocation fails at once.
     for argv in (

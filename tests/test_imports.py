@@ -90,8 +90,8 @@ def test_import_lcross_loads_no_numpy():
 
 
 def test_mc_starts_threads_only_for_split_calls():
-    # 8191 x 16 steps fill less than two blocks, and Gaussian draws never
-    # split; 8192 x 16 fill two, so that call runs on a helper thread too.
+    # 8191 x 16 steps fill less than two blocks, for uniform and Gaussian
+    # draws alike; 8192 x 16 fill two, so that call runs on a helper thread too.
     proc = _python(
         "import threading\n"
         "import lcross\n"
@@ -101,7 +101,7 @@ def test_mc_starts_threads_only_for_split_calls():
         "mc._cpus = lambda: 2\n"
         "r = mc.from_dist(lcross.rademacher())\n"
         "mc.mc_crossing(r, 16, 0, 8191, 0)\n"
-        "mc.mc_sign_changes(mc.gaussian(), 16, 100000, 0)\n"
+        "mc.mc_sign_changes(mc.gaussian(), 16, 8191, 0)\n"
         "assert 'concurrent.futures' not in sys.modules and threading.active_count() == 1\n"
         "est = mc.mc_crossing(r, 16, 0, 8192, 0)\n"
         "assert threading.active_count() == 2\n"

@@ -789,7 +789,8 @@ def test_pinned_block_boundaries(fn, sampler, n, level, samples, mean, half):
 
 def test_estimators_hold_one_block_of_paths():
     # One samples x n array of 8-byte steps would be 12.8 MB for the first,
-    # second, fifth and sixth calls and 10.24 MB for the third and fourth; a
+    # second, sixth and seventh calls and 10.24 MB for the third, fourth and
+    # fifth (the fourth's Cauchy steps are made of twice as many normals); a
     # call keeps its int8 signs, counts or flags, plus one block of
     # temporaries.  factorial_heavy blocks sum complex pairs under the float
     # screen.
@@ -797,6 +798,7 @@ def test_estimators_hold_one_block_of_paths():
         (lambda: mc_crossing(from_dist(rademacher()), 16, 0, 100_000, 3), 4_000_000),
         (lambda: mc_crossing(from_dist(rademacher()), 16, F(1, 2), 100_000, 3), 4_000_000),
         (lambda: mc_sign_changes(gaussian(), 32, 40_000, 3), 4_000_000),
+        (lambda: mc_sign_changes(cauchy(), 32, 40_000, 3), 4_000_000),
         (lambda: mc_sign_changes(from_dist(lazy_law()), 32, 40_000, 3), 4_000_000),
         (lambda: mc_crossing(factorial_heavy(64), 16, 0, 100_000, 3), 8_000_000),
         (lambda: factorial_dominance_stats(64, 16, 100_000, 3), 8_000_000),
@@ -869,20 +871,155 @@ def test_split_calls_equal_the_serial_call(monkeypatch, workers):
         assert np.array_equal(*got)
 
 
-def test_gaussian_and_cauchy_calls_stay_serial(monkeypatch):
-    _split_ways(monkeypatch, 3, 256)
-    seen = []
+# Gaussian and Cauchy calls, standard and shifted and scaled.  The last two
+# run 103 rows of n = 100, one row per block at a block of 256 steps, so the
+# last round holds one block whether two or three blocks make a round.
+NORMAL_CALLS = [
+    lambda: mc_crossing(gaussian(), 7, 0, 1001, 5),
+    lambda: mc_sign_changes(gaussian(0.25, 3.0), 7, 1001, 5),
+    lambda: mc_sign_changes(cauchy(), 7, 1001, 5),
+    lambda: mc_crossing(cauchy(-0.5, 2.0), 7, F(1, 2), 1001, 5),
+    lambda: mc_sign_changes(gaussian(), 100, 103, 5),
+    lambda: mc_crossing(cauchy(), 100, -1, 103, 5),
+]
+
+
+def _normal_signs(s, n, samples, level):
+    """Every sign of each path's walk, times 0..n, as one int8 array."""
+    signs = np.zeros((n + 1, samples), dtype=np.int8)
+
+    def keep(rows, block):
+        signs[:, rows] = block
+
+    mc._path_signs(s, n, samples, 5, level, 0, keep)
+    return signs
+
+
+def _settled(monkeypatch, skew=False):
+    """Count the speculative blocks _settle keeps and redraws; skew puts each check a normal ahead."""
+    seen = {"kept": 0, "redrawn": 0}
+    real = mc._settle
+
+    def settle(rng, z, need, spec, check):
+        if skew:
+            check.standard_normal()  # so no state check can pass
+        block, end = real(rng, z, need, spec, check)
+        seen["kept" if end is spec else "redrawn"] += 1
+        return block, end
+
+    monkeypatch.setattr(mc, "_settle", settle)
+    return seen
+
+
+@pytest.mark.parametrize("miss", ["none", "no-room", "bad-state"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_gaussian_and_cauchy_calls_equal_the_serial_call(monkeypatch, workers, miss):
+    monkeypatch.setattr(mc, "_cpus", lambda: 1)
+    serial = [call() for call in NORMAL_CALLS]
+    shapes = [
+        (gaussian(0.25, 3.0), 7, 1001, F(1, 3)),
+        (cauchy(), 7, 1001, 0),
+        (cauchy(1.0, 0.5), 100, 103, 2),
+    ]
+    serial_signs = [_normal_signs(*shape) for shape in shapes]
+    _split_ways(monkeypatch, workers, 256)
+    if miss == "no-room":  # a block is kept only if it was drawn from its true start
+        monkeypatch.setattr(mc, "_margin", lambda d: 0)
+    seen = _settled(monkeypatch, skew=miss == "bad-state")
+    rounds = []
     real = mc._each_range
 
-    def each_range(ranges, work):
-        seen.append(len(ranges))
-        real(ranges, work)
+    def each_range(parts, work):
+        rounds.append(len(parts))
+        real(parts, work)
 
     monkeypatch.setattr(mc, "_each_range", each_range)
-    mc_crossing(gaussian(), 7, 0, 1001, 5)
-    mc_sign_changes(cauchy(), 7, 1001, 5)
-    mc_crossing(from_dist(rademacher()), 7, 0, 1001, 5)
-    assert seen == [1, 1, 3]
+    assert [call() for call in NORMAL_CALLS] == serial
+    assert rounds[-1] == 1  # the last call's last round held one block, summed alone
+    for shape, signs in zip(shapes, serial_signs):
+        assert np.array_equal(_normal_signs(*shape), signs)
+    if workers == 1:
+        assert seen == {"kept": 0, "redrawn": 0} and set(rounds) == {1}
+    elif miss == "none":
+        assert seen["kept"] > 0 and seen["redrawn"] == 0
+    elif miss == "no-room":
+        assert seen["redrawn"] > 0
+    else:
+        assert seen["kept"] == 0 and seen["redrawn"] > 0
+
+
+def test_settle_keeps_only_a_state_checked_speculation():
+    rng = seeded_stream(9)
+    serial = rng.standard_normal(3000)
+    exact = seeded_stream(9)
+    exact.standard_normal(2000)
+    true_start = mc._philox_state(exact)[0]  # of the block of the last 1000 normals
+    assert true_start > 2000
+    # Drawn from its lower bound with room, the block is kept; with no room
+    # for the lag, or from past its true start, it is redrawn.
+    for start, room, kept in ((2000, 200, True), (2000, 0, False), (true_start + 1, 200, False)):
+        z = np.empty(1000 + room)
+        spec = mc._stream_at(9, start)
+        spec.standard_normal(out=z[:1000])
+        at = seeded_stream(9)
+        at.standard_normal(2000)
+        block, end = mc._settle(at, z, 1000, spec, mc._stream_at(9, start))
+        assert np.array_equal(block, serial[2000:])
+        assert (end is spec) == kept
+        assert mc._philox_state(end) == mc._philox_state(rng)
+
+
+def test_numpy_gaussian_and_cauchy_draws_are_standard_normals():
+    # The engine draws only standard normals and forms Gaussian and Cauchy
+    # steps from them; these identities keep it the serial draw.
+    for seed in range(4):
+        a, b = seeded_stream(seed), seeded_stream(seed)
+        z = b.standard_normal(2 * 20_001)
+        assert np.array_equal(a.standard_cauchy(20_001), z[0::2] / z[1::2])
+        assert mc._philox_state(a) == mc._philox_state(b)
+        for mean, sd in ((0.0, 1.0), (0.25, 3.0), (-1e-3, 7e-5), (1e5, 0.1)):
+            a, b = seeded_stream(seed), seeded_stream(seed)
+            z = b.standard_normal(20_001)
+            assert np.array_equal(a.normal(mean, sd, 20_001), mean + sd * z)
+            assert mc._philox_state(a) == mc._philox_state(b)
+
+
+def test_philox_state_counts_raw_draws():
+    for draws in (0, 1, 3, 4, 5, 2**66 + 7):
+        assert mc._philox_state(mc._stream_at(0, draws)) == (draws, 0, 0)
+    rng = seeded_stream(0)
+    rng.standard_normal(5000)
+    state = rng.bit_generator.state
+    position = mc._philox_state(rng)[0]
+    assert position >= 5000
+    assert position == 4 * int(state["state"]["counter"][0]) + state["buffer_pos"] - 4
+    rng.random(3)
+    assert mc._philox_state(rng)[0] == position + 3
+
+
+@pytest.mark.parametrize("level", [F(10) ** 400, -(F(10) ** 400), "1e400", "-1e400"])
+def test_levels_past_the_float_range_lie_beyond_every_position(level):
+    # Positions are floats, so a level past the float range is above or below them all.
+    far = 10.0**300 if F(level) > 0 else -(10.0**300)
+    for s in (gaussian(), cauchy()):
+        assert mc_crossing(s, 4, level, 1000, 0) == mc_crossing(s, 4, far, 1000, 0)
+        assert mc_crossing(s, 4, level, 1000, 0).mean == 0.0
+
+
+def test_overflowing_float_positions_raise(monkeypatch):
+    calls = (
+        lambda: mc_crossing(cauchy(0, 1e308), 4, 0, 1000, 0),
+        lambda: mc_sign_changes(gaussian(0, 1e308), 8, 1000, 0),
+        lambda: mc_crossing(gaussian(1e308, 1.0), 4, 0, 1000, 0),  # infinite, never NaN
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ValueError, not numpy's warnings
+        for call in calls:
+            with pytest.raises(ValueError, match="overflow float64"):
+                call()
+        _split_ways(monkeypatch, 3, 256)  # raised in a helper thread's block too
+        with pytest.raises(ValueError, match="overflow float64"):
+            mc_sign_changes(cauchy(0, 1e307), 7, 1001, 5)
 
 
 @pytest.mark.parametrize("failing", [0, 1, 2])
@@ -921,16 +1058,17 @@ def test_a_failing_range_raises_once_every_range_has_stopped(monkeypatch, failin
 
 
 def test_split_calls_from_many_threads_under_fast_switching(monkeypatch):
-    # More ranges than CPUs and callers sharing the helpers, with the
-    # interpreter switching threads every microsecond: a lost update to the
-    # helper count or to any row would change a result.
+    # More ranges or blocks per round than CPUs and callers sharing the
+    # helpers, with the interpreter switching threads every microsecond: a lost
+    # update to the helper count or to any row would change a result.
+    calls = SPLIT_CALLS + NORMAL_CALLS
     monkeypatch.setattr(mc, "_cpus", lambda: 1)
-    serial = [call() for call in SPLIT_CALLS]
+    serial = [call() for call in calls]
     _split_ways(monkeypatch, 4, 256)
     got = {}
 
     def caller(k):
-        got[k] = [call() for call in SPLIT_CALLS]
+        got[k] = [call() for call in calls]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
